@@ -147,7 +147,7 @@ def real_backend_sweep(
     make the same discovery finish sooner?  Returns
     ``{workers: (seconds, speedup vs the first count)}``.
     """
-    from repro.parallel import discover_parallel
+    from repro.parallel import ParallelDiscovery
 
     graph = dataset(name)
     config = discovery_config(name)
@@ -156,14 +156,14 @@ def real_backend_sweep(
     rows: Dict[int, Tuple[float, float]] = {}
     base = None
     for workers in worker_counts:
-        result, _ = discover_parallel(
+        result = ParallelDiscovery(
             graph,
             config,
             num_workers=workers,
             backend="multiprocess",
             stats=stats,
             index=index,
-        )
+        ).run()
         elapsed = result.stats.elapsed_seconds
         if base is None:
             base = elapsed

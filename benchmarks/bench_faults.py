@@ -43,7 +43,7 @@ from _harness import (  # noqa: E402
 
 from repro import FaultConfig, Session  # noqa: E402
 from repro.core import discover, gfd_identity  # noqa: E402
-from repro.parallel import janitor, shared_memory_available  # noqa: E402
+from repro.parallel import janitor  # noqa: E402
 
 #: Worker count for every measured run.
 WORKERS = 2
@@ -80,8 +80,6 @@ def _identity(result):
 
 def run(check: bool = False, max_rules: int = None):
     """One measured pass; returns the report lines and the metrics dict."""
-    if not shared_memory_available():  # pragma: no cover - platform gate
-        return ["bench_faults: shared memory unavailable, skipped"], {}
     config = discovery_config("yago2")
     graph = dataset("yago2")
     reference = _identity(discover(graph, config))

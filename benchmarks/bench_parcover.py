@@ -50,7 +50,7 @@ from repro.datasets import KB_ATTRIBUTES  # noqa: E402
 from repro.datasets.noise import inject_noise  # noqa: E402
 from repro.enforce import EnforcementEngine  # noqa: E402
 from repro.parallel import parallel_cover  # noqa: E402
-from repro.parallel.backend import make_backend, shared_memory_available  # noqa: E402
+from repro.parallel.backend import make_backend  # noqa: E402
 
 #: Worker counts of the multiprocess cover sweep.
 COVER_WORKERS = [2, 4]
@@ -93,36 +93,35 @@ def run(check: bool = False, max_rules: int = None):
         }, "ParCover(serial) cover diverges from SeqCover"
 
     metrics["parcover_multiprocess"] = {}
-    if shared_memory_available():
-        for workers in COVER_WORKERS:
-            backend = make_backend("multiprocess", workers, None, None, [])
-            try:
-                mp_s, (mp_result, _) = _timed(
-                    lambda: parallel_cover(sigma, backend=backend)
+    for workers in COVER_WORKERS:
+        backend = make_backend("multiprocess", workers, None, None, [])
+        try:
+            mp_s, (mp_result, _) = _timed(
+                lambda: parallel_cover(sigma, backend=backend)
+            )
+            ledger = backend.transfers
+            metrics["parcover_multiprocess"][str(workers)] = {
+                "seconds": mp_s,
+                "sigma_rules_broadcast": ledger.sigma_rules,
+                "match_rows_to_workers": ledger.rows_to_workers,
+                "match_rows_to_master": ledger.rows_to_master,
+            }
+            lines.append(
+                f"ParCover(multiprocess, n={workers}): {mp_s:.3f}s, "
+                f"broadcast {ledger.sigma_rules} rules, "
+                f"{ledger.rows_to_workers + ledger.rows_to_master} "
+                f"match rows through the master"
+            )
+            if check:
+                assert mp_result.cover == serial_result.cover, (
+                    f"ParCover(multiprocess, {workers}w) cover is not "
+                    "byte-identical to serial"
                 )
-                ledger = backend.transfers
-                metrics["parcover_multiprocess"][str(workers)] = {
-                    "seconds": mp_s,
-                    "sigma_rules_broadcast": ledger.sigma_rules,
-                    "match_rows_to_workers": ledger.rows_to_workers,
-                    "match_rows_to_master": ledger.rows_to_master,
-                }
-                lines.append(
-                    f"ParCover(multiprocess, n={workers}): {mp_s:.3f}s, "
-                    f"broadcast {ledger.sigma_rules} rules, "
-                    f"{ledger.rows_to_workers + ledger.rows_to_master} "
-                    f"match rows through the master"
-                )
-                if check:
-                    assert mp_result.cover == serial_result.cover, (
-                        f"ParCover(multiprocess, {workers}w) cover is not "
-                        "byte-identical to serial"
-                    )
-                    assert mp_result.removed == serial_result.removed
-                    assert ledger.rows_to_workers == 0
-                    assert ledger.rows_to_master == 0
-            finally:
-                backend.shutdown()
+                assert mp_result.removed == serial_result.removed
+                assert ledger.rows_to_workers == 0
+                assert ledger.rows_to_master == 0
+        finally:
+            backend.shutdown()
 
     # -- 2: worker-resident enforcement tables --------------------------
     dirty, _ = inject_noise(

@@ -50,7 +50,6 @@ from _harness import record, write_bench  # noqa: E402
 
 from repro import DiscoveryConfig, Session  # noqa: E402
 from repro.datasets import KB_ATTRIBUTES, imdb_like  # noqa: E402
-from repro.parallel import shared_memory_available  # noqa: E402
 from repro.parallel.janitor import live_mappings, live_segments  # noqa: E402
 from repro.serve import (  # noqa: E402
     EnforcementService,
@@ -241,11 +240,7 @@ def main() -> int:
     if args.backend == "multiprocess":
         backends = ["multiprocess"]
     elif args.backend == "both":
-        if shared_memory_available():
-            backends.append("multiprocess")
-        else:
-            print("# shared memory unavailable; skipping multiprocess run",
-                  file=sys.stderr)
+        backends.append("multiprocess")
 
     metrics = run_bench(backends)
     lines = []

@@ -9,10 +9,9 @@ backend:
    the backend's `LifecycleCounters`); the post-mutation snapshot goes
    through `refresh_index`, never a pool rebuild.
 
-2. **Shim identity** — the Session's discovered Σ, cover and enforcement
-   report are byte-identical to the legacy entry points (`discover`,
-   `parallel_cover`, a standalone `EnforcementEngine`), which now exist as
-   shims over the same engines.
+2. **Direct-engine identity** — the Session's discovered Σ, cover and
+   enforcement report are byte-identical to the engines called directly
+   (`discover`, `parallel_cover`, a standalone `EnforcementEngine`).
 
 3. **Measured-cost LPT** — a second cover in the same session balances by
    worker-measured chase costs (the cost model has observations) and still
@@ -21,8 +20,8 @@ backend:
 4. **Multiprocess never loses** — the fused-superstep protocol is the
    reason multiprocess stops losing to serial at this scale, so the gate
    is hard: ``multiprocess elapsed ≤ 1.05 × serial elapsed``, and the
-   fused pipeline must issue ≥ 5× fewer supersteps than the historical
-   per-op protocol (``fuse_ops=False``).
+   serial pipeline must issue at most ``MAX_PIPELINE_SUPERSTEPS``
+   supersteps (an absolute pin; the fused protocol issues 24).
 
 5. **Tracing is free when off, cheap when on** — the same pipeline run
    with a live :class:`repro.Tracer` must produce byte-identical results,
@@ -51,8 +50,6 @@ import json
 import os
 import sys
 import time
-import warnings
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -71,7 +68,7 @@ from repro.core import discover, gfd_identity  # noqa: E402
 from repro.core.config import EnforcementConfig  # noqa: E402
 from repro.enforce import EnforcementEngine  # noqa: E402
 from repro.obs.tracer import NULL_TRACER  # noqa: E402
-from repro.parallel import parallel_cover, shared_memory_available  # noqa: E402
+from repro.parallel import parallel_cover  # noqa: E402
 
 #: Session worker count for both backends.
 WORKERS = 2
@@ -87,8 +84,10 @@ MP_MAX_RATIO = 1.05
 #: a ratio past this means the fused IPC path itself regressed.
 MP_DEGRADED_RATIO = 3.0
 
-#: The fused protocol must cut supersteps by at least this factor.
-FUSION_MIN_REDUCTION = 5.0
+#: Supersteps the serial yago2 pipeline may issue.  173 = the 866 rounds of
+#: the per-op protocol that preceded fused supersteps, divided by the 5×
+#: reduction the gate used to demand of the fused one (which issues 24).
+MAX_PIPELINE_SUPERSTEPS = 173
 
 #: Live tracing may cost at most this factor over the untraced pipeline.
 TRACE_MAX_RATIO = 1.05
@@ -159,11 +158,10 @@ def _pipeline(graph, config, backend, tracer=None):
 def run(check: bool = False, max_rules: int = None):
     """One measured pass; returns the report lines and the metrics dict."""
     config = discovery_config("yago2")
-    backends = ["serial"]
-    if shared_memory_available():
-        backends.append("multiprocess")
+    backends = ["serial", "multiprocess"]
 
-    # the legacy reference path (fresh resources per phase, pristine graph)
+    # the direct-engine reference path (fresh resources per phase,
+    # pristine graph)
     legacy = discover(dataset("yago2").copy(), config)
 
     lines = [f"|Sigma| = {len(legacy.gfds)}"]
@@ -172,13 +170,11 @@ def run(check: bool = False, max_rules: int = None):
     for backend in backends:
         graph = dataset("yago2").copy()  # the pipeline mutates its graph
         outcome = _pipeline(graph, config, backend)
-        # legacy shims over the *same* Σ ordering and an equal pristine
-        # graph — identity must hold byte for byte
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_cover, _ = parallel_cover(
-                outcome["result"].gfds, num_workers=WORKERS
-            )
+        # the engines called directly over the *same* Σ ordering and an
+        # equal pristine graph — identity must hold byte for byte
+        legacy_cover, _ = parallel_cover(
+            outcome["result"].gfds, num_workers=WORKERS
+        )
         with EnforcementEngine(
             dataset("yago2").copy(),
             outcome["cover2"].cover,
@@ -237,7 +233,7 @@ def run(check: bool = False, max_rules: int = None):
                 "cover timings must feed the chase-cost model"
             )
             assert same_sigma and same_cover and same_cover_again, (
-                "Session must equal the legacy entry points"
+                "Session must equal the engines called directly"
             )
             assert same_report, "Session enforcement must equal the engine"
             assert outcome["refreshed"].mode == "incremental"
@@ -250,24 +246,15 @@ def run(check: bool = False, max_rules: int = None):
             json.dumps(view.as_dict(), indent=2, sort_keys=True) + "\n"
         )
 
-    # the historical per-op protocol, serial, as the superstep baseline
-    unfused = _pipeline(
-        dataset("yago2").copy(), replace(config, fuse_ops=False), "serial"
-    )
-    unfused_steps = unfused["metrics"].cluster.supersteps
-    fused_steps = metrics["serial"]["supersteps"]
-    reduction = unfused_steps / max(1, fused_steps)
-    metrics["unfused_supersteps"] = unfused_steps
-    metrics["superstep_reduction"] = round(reduction, 2)
+    serial_steps = metrics["serial"]["supersteps"]
     lines.append(
-        f"fusion: {fused_steps} supersteps vs {unfused_steps} unfused "
-        f"({reduction:.1f}x reduction)"
+        f"supersteps: {serial_steps} serial pipeline "
+        f"(gate <= {MAX_PIPELINE_SUPERSTEPS})"
     )
     if check:
-        assert reduction >= FUSION_MIN_REDUCTION, (
-            f"fused supersteps reduced only {reduction:.1f}x "
-            f"(need >= {FUSION_MIN_REDUCTION}x): {fused_steps} vs "
-            f"{unfused_steps}"
+        assert serial_steps <= MAX_PIPELINE_SUPERSTEPS, (
+            f"the serial pipeline issued {serial_steps} supersteps "
+            f"(gate <= {MAX_PIPELINE_SUPERSTEPS})"
         )
 
     # -- 5: tracing overhead + byte-identity ---------------------------
@@ -339,34 +326,33 @@ def run(check: bool = False, max_rules: int = None):
             f"(gate {TRACE_MAX_RATIO}x + {TRACE_ABS_SLACK_S}s slack)"
         )
 
-    if "multiprocess" in metrics:
-        ratio = (
-            metrics["multiprocess"]["elapsed_s"]
-            / metrics["serial"]["elapsed_s"]
+    ratio = (
+        metrics["multiprocess"]["elapsed_s"]
+        / metrics["serial"]["elapsed_s"]
+    )
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        cores = os.cpu_count() or 1
+    # WORKERS worker processes + the master need WORKERS+1 cores to
+    # actually overlap; below that the wall-clock comparison measures
+    # contention, not the protocol (same policy as _harness.
+    # assert_real_speedup)
+    overlap = cores > WORKERS
+    gate = MP_MAX_RATIO if overlap else MP_DEGRADED_RATIO
+    metrics["mp_vs_serial_ratio"] = round(ratio, 3)
+    metrics["usable_cores"] = cores
+    lines.append(
+        f"multiprocess / serial elapsed ratio: {ratio:.2f} "
+        f"(gate <= {gate} on {cores} usable cores)"
+    )
+    if check:
+        assert ratio <= gate, (
+            f"multiprocess lost to serial: {ratio:.2f}x elapsed "
+            f"(gate {gate}x on {cores} cores) — "
+            f"{metrics['multiprocess']['elapsed_s']:.2f}s vs "
+            f"{metrics['serial']['elapsed_s']:.2f}s"
         )
-        try:
-            cores = len(os.sched_getaffinity(0))
-        except AttributeError:  # non-Linux
-            cores = os.cpu_count() or 1
-        # WORKERS worker processes + the master need WORKERS+1 cores to
-        # actually overlap; below that the wall-clock comparison measures
-        # contention, not the protocol (same policy as _harness.
-        # assert_real_speedup)
-        overlap = cores > WORKERS
-        gate = MP_MAX_RATIO if overlap else MP_DEGRADED_RATIO
-        metrics["mp_vs_serial_ratio"] = round(ratio, 3)
-        metrics["usable_cores"] = cores
-        lines.append(
-            f"multiprocess / serial elapsed ratio: {ratio:.2f} "
-            f"(gate <= {gate} on {cores} usable cores)"
-        )
-        if check:
-            assert ratio <= gate, (
-                f"multiprocess lost to serial: {ratio:.2f}x elapsed "
-                f"(gate {gate}x on {cores} cores) — "
-                f"{metrics['multiprocess']['elapsed_s']:.2f}s vs "
-                f"{metrics['serial']['elapsed_s']:.2f}s"
-            )
 
     write_bench("session", metrics)
     return lines, metrics
@@ -386,8 +372,6 @@ def crossover_curve():
     for scale in CROSSOVER_SCALES:
         row = {"scale": scale}
         for backend in ("serial", "multiprocess"):
-            if backend == "multiprocess" and not shared_memory_available():
-                continue
             graph = dataset("yago2", scale).copy()
             row["nodes"] = graph.num_nodes
             config = discovery_config("yago2")
@@ -397,12 +381,11 @@ def crossover_curve():
             ) as session:
                 session.discover()
             row[backend] = round(time.perf_counter() - started, 3)
-        if "multiprocess" in row:
-            row["winner"] = (
-                "multiprocess"
-                if row["multiprocess"] < row["serial"]
-                else "serial"
-            )
+        row["winner"] = (
+            "multiprocess"
+            if row["multiprocess"] < row["serial"]
+            else "serial"
+        )
         points.append(row)
         lines.append(
             f"scale {scale} ({row.get('nodes', '?')} nodes): " + ", ".join(
@@ -423,8 +406,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="assert the one-lifecycle, shim-identity and tracing-"
-             "overhead gates",
+        help="assert the one-lifecycle, direct-engine-identity, "
+             "superstep and tracing-overhead gates",
     )
     parser.add_argument(
         "--max-rules",

@@ -83,7 +83,6 @@ from .parallel import (
     ChaseCostModel,
     ParallelDiscovery,
     SimulatedCluster,
-    discover_parallel,
     parallel_cover,
 )
 from .pattern import WILDCARD, Pattern, find_matches, pivot_image
@@ -92,7 +91,7 @@ from .session import Session, SessionMetrics
 
 #: The single source of the package version — ``setup.py`` reads it from
 #: this file, and every telemetry/bench artifact stamps it.
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -133,7 +132,6 @@ __all__ = [
     "ParallelDiscovery",
     "SimulatedCluster",
     "ChaseCostModel",
-    "discover_parallel",
     "parallel_cover",
     # enforcement
     "EnforcementConfig",

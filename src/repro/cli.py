@@ -275,7 +275,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         sigma=args.sigma,
         max_lhs_size=args.max_lhs,
         mine_negative=not args.no_negative,
-        shared_memory=not args.no_shared_memory,
     )
     fault = _fault_from_args(args)
     if fault != "auto":
@@ -340,7 +339,7 @@ def _cmd_enforce(args: argparse.Namespace) -> int:
         sample_seed=args.seed,
         max_violations_per_rule=args.max_violations_per_rule,
     )
-    base = DiscoveryConfig(shared_memory=not args.no_shared_memory)
+    base = DiscoveryConfig()
     fault = _fault_from_args(args)
     if fault != "auto":
         base.fault = fault
@@ -406,7 +405,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         sigma=args.sigma,
         max_lhs_size=args.max_lhs,
         mine_negative=not args.no_negative,
-        shared_memory=not args.no_shared_memory,
     )
     fault = _fault_from_args(args)
     if fault != "auto":
@@ -449,8 +447,6 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     rules = load_rules(args.rules)
     tracer = _make_tracer(args)
     if (args.workers or 0) > 1 or args.backend is not None:
-        import warnings
-
         from .parallel import SimulatedCluster, parallel_cover
 
         # the cover verb has no graph, so there is no session to open: a
@@ -460,16 +456,13 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             if tracer is not None
             else None
         )
-        with warnings.catch_warnings():
-            # the standalone parallel_cover call IS the supported path here
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result, cluster = parallel_cover(
-                rules,
-                num_workers=args.workers or 4,
-                cluster=metered,
-                backend=args.backend,
-                fault=_fault_from_args(args),
-            )
+        result, cluster = parallel_cover(
+            rules,
+            num_workers=args.workers or 4,
+            cluster=metered,
+            backend=args.backend,
+            fault=_fault_from_args(args),
+        )
         print(
             f"# backend={args.backend or 'serial'} "
             f"workers={cluster.num_workers} "
@@ -504,7 +497,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     sigma = load_rules(args.rules) if args.rules else None
     config = DiscoveryConfig(
         k=args.k, sigma=args.sigma, max_lhs_size=args.max_lhs,
-        shared_memory=not args.no_shared_memory,
     )
     fault = _fault_from_args(args)
     if fault != "auto":
@@ -577,9 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Parallel verbs (discover, enforce, cover) take --backend "
                "serial|multiprocess — multiprocess runs real worker "
                "processes attaching the frozen graph index via shared "
-               "memory; --no-shared-memory falls back to pickling the "
-               "buffers into each worker.  $REPRO_PARALLEL_BACKEND sets "
-               "the default backend.",
+               "memory (or by mmap when it was loaded from a persisted "
+               "store file).  $REPRO_PARALLEL_BACKEND sets the default "
+               "backend.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -614,8 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
         "discover",
         help="mine GFDs from a graph",
         epilog="--backend multiprocess shards the mining over real worker "
-               "processes (shared-memory graph buffers; --no-shared-memory "
-               "selects the pickle transport).",
+               "processes (shared-memory graph buffers, one fused "
+               "submission per worker per superstep).",
     )
     disc.add_argument("graph", help="graph file (.json or .tsv)")
     disc.add_argument("--k", type=int, default=3, help="pattern-variable bound")
@@ -631,9 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="ParDis execution backend (auto: cost-based "
                            "per-phase choice; default: serial, or "
                            "$REPRO_PARALLEL_BACKEND)")
-    disc.add_argument("--no-shared-memory", action="store_true",
-                      help="ship graph buffers to multiprocess workers by "
-                           "pickle instead of shared memory")
     disc.add_argument("--no-negative", action="store_true",
                       help="skip negative GFDs")
     disc.add_argument("--cover", action="store_true",
@@ -669,9 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="session execution backend (auto: cost-based "
                            "per-phase choice; default: serial, or "
                            "$REPRO_PARALLEL_BACKEND)")
-    pipe.add_argument("--no-shared-memory", action="store_true",
-                      help="ship graph buffers to multiprocess workers by "
-                           "pickle instead of shared memory")
     pipe.add_argument("--no-negative", action="store_true",
                       help="skip negative GFDs")
     pipe.add_argument("--output", help="write the cover to this file "
@@ -687,9 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
         "enforce",
         help="validate a rule set with the compiled enforcement engine",
         epilog="--backend multiprocess evaluates the compiled plan on real "
-               "worker processes over the shared-memory graph index "
-               "(--no-shared-memory selects the pickle transport); match "
-               "shards stay resident in the workers across passes.",
+               "worker processes over the shared-memory graph index; "
+               "match shards stay resident in the workers across passes.",
     )
     enf.add_argument("graph", help="graph file (.json or .tsv)")
     enf.add_argument("rules", help="rule file (text lines or Σ .json)")
@@ -700,9 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
     enf.add_argument("--workers", type=int, default=None,
                      help="evaluation shards (default: 1 serial / "
                           "4 multiprocess)")
-    enf.add_argument("--no-shared-memory", action="store_true",
-                     help="ship graph buffers to multiprocess workers by "
-                          "pickle instead of shared memory")
     enf.add_argument("--samples", type=int, default=5,
                      help="violating matches printed per rule (seeded "
                           "sample when the cap binds)")
@@ -776,9 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="execution backend of the single lane "
                           "(default: serial, or $REPRO_PARALLEL_BACKEND)")
-    srv.add_argument("--no-shared-memory", action="store_true",
-                     help="ship graph buffers to multiprocess workers by "
-                          "pickle instead of shared memory")
     srv.add_argument("--k", type=int, default=2,
                      help="startup-discovery pattern-variable bound")
     srv.add_argument("--sigma", type=int, default=10,

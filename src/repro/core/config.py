@@ -196,41 +196,15 @@ class DiscoveryConfig:
             or the ``REPRO_PARALLEL_BACKEND`` environment variable.
         num_workers: default worker count ``n`` for parallel runs when the
             engine call does not pass one (``None`` = the engine default, 4).
-        shared_memory: ship the frozen index to multiprocess workers via
-            ``multiprocessing.shared_memory`` (attach-once, zero-copy numpy
-            views).  Disabling — or running on a platform without shared
-            memory — falls back to pickling the buffers into each worker.
         direct_shipping: when a skewed join triggers rebalancing on the
             multiprocess backend, move whole pivot groups worker-to-worker
             through a shared-memory staging segment: the master plans the
             moves from per-group row *counts* and exchanges only manifests
             (pivot ids, offsets), never match rows.  Disabling — or running
-            without shared memory — falls back to round-tripping the
-            rebalanced shards through the master (the historical path).
+            supervised (see :class:`FaultConfig`) — falls back to
+            round-tripping the rebalanced shards through the master.
             Either way the discovered set is identical; only the transfer
             route changes (``backend.transfers`` proves which route ran).
-        sketch_support_prefilter: use an HLL-style distinct-pivot sketch as
-            a cheap upper bound before exact support counting in the
-            ``HSpawn`` alphabet prefilter.  Exact counting remains the
-            source of truth for every emitted GFD; the sketch only skips
-            exact counts for literals whose upper bound is already below
-            ``σ``, so with the (default-off) flag enabled, results can
-            differ only by the sketch's bounded overcount direction.
-        sketch_precision: HLL precision ``p`` (``2^p`` registers).
-        sketch_backend: name of the registered
-            :class:`~repro.core.sketch.CardinalitySketch` estimator used by
-            the prefilter (``"hll"`` — the default — or ``"exact"``; compact
-            alternatives like UltraLogLog register via
-            :func:`~repro.core.sketch.register_sketch`).
-        fuse_ops: fuse the engines' per-pattern supersteps into per-level
-            batches (all parents tally in one round, all novel children
-            join and install in one round each, all verified patterns scan
-            / advance their LHS lattices / probe negatives jointly) and let
-            the backend ship each worker's whole batch as a single fused
-            submission — one pickle round trip per worker per superstep
-            instead of one per op.  Results are byte-identical with the
-            flag off (the differential harness pins fused ≡ unfused);
-            ``False`` restores the historical per-pattern rounds.
         planner_mp_min_size: the ``"auto"`` planner's crossover floor —
             with no multiprocess timings observed yet for a phase, inputs
             below this many items stay serial (the round-trip constant
@@ -267,12 +241,7 @@ class DiscoveryConfig:
     use_index: bool = True
     parallel_backend: str = field(default_factory=_default_backend)
     num_workers: Optional[int] = None
-    shared_memory: bool = True
     direct_shipping: bool = True
-    sketch_support_prefilter: bool = False
-    sketch_precision: int = 12
-    sketch_backend: str = "hll"
-    fuse_ops: bool = True
     planner_mp_min_size: int = 50_000
     fault: Optional[FaultConfig] = field(default_factory=_default_fault)
 
@@ -305,8 +274,8 @@ class EnforcementConfig:
 
     Enforcement is the consumer side of discovery: a fixed rule set ``Σ``
     is validated against a live graph, repeatedly.  The knobs mirror the
-    discovery ones where the machinery is shared (backend, workers, shared
-    memory, index) and add the delta-maintenance and reporting policies.
+    discovery ones where the machinery is shared (backend, workers, index)
+    and add the delta-maintenance and reporting policies.
 
     Attributes:
         backend: evaluation backend — ``"serial"`` evaluates the compiled
@@ -318,8 +287,6 @@ class EnforcementConfig:
         num_workers: evaluation shards (``None`` = 1 for serial, 4 for
             multiprocess — serial sharding exists for differential testing,
             not speed).
-        shared_memory: ship the index to multiprocess workers via
-            ``multiprocessing.shared_memory`` (else pickle).
         use_index: evaluate against the frozen CSR index (the fast path).
             Disabling falls back to the dict-graph reference tables;
             results are identical.  The multiprocess backend requires the
@@ -359,9 +326,9 @@ class EnforcementConfig:
             enumeration order, worker count and backend.
         sample_seed: RNG seed of that capped sample.
         sketch_cardinality: report each rule's distinct violating pivots
-            as a sketch *upper bound* (cf. the support prefilter)
-            instead of the exact distinct count — O(1) memory per rule on
-            huge violation sets; counts and node sets stay exact.
+            as a sketch *upper bound* instead of the exact distinct count —
+            O(1) memory per rule on huge violation sets; counts and node
+            sets stay exact.
         sketch_backend: registered cardinality estimator used when
             ``sketch_cardinality`` is on (default ``"hll"``).
         fault: supervision policy of the multiprocess backend (see
@@ -370,7 +337,6 @@ class EnforcementConfig:
 
     backend: str = field(default_factory=_default_backend)
     num_workers: Optional[int] = None
-    shared_memory: bool = True
     use_index: bool = True
     persistent_tables: bool = True
     max_delta_fraction: float = 0.25

@@ -114,20 +114,16 @@ class SequentialDiscovery:
         """``VSpawn(level)``: one-edge extensions of the previous level."""
         return self._vspawn(tree, level)
 
-    def _mine_node(self, node: TreeNode) -> None:
-        """``HSpawn``: mine the dependencies of one verified pattern."""
-        self._hspawn(node)
-
     def _mine_nodes(self, nodes: Sequence[TreeNode]) -> None:
         """``HSpawn`` over one level's verified patterns.
 
         The sequential engine mines them one by one; the parallel engine
         overrides this to validate all of a level's patterns in fused
-        supersteps (``config.fuse_ops``) — emissions land in ``_found`` in
-        the same per-node order either way.
+        supersteps — emissions land in ``_found`` in the same per-node
+        order either way.
         """
         for node in nodes:
-            self._mine_node(node)
+            self._hspawn(node)
 
     # ------------------------------------------------------------------
     def _drain_found(self) -> List[Tuple[GFD, int]]:
@@ -380,25 +376,8 @@ class SequentialDiscovery:
         self.stats.validation_seconds += time.perf_counter() - validation_started
 
     def _literal_support_reaches_sigma(self, table: MatchTable, literal) -> bool:
-        """Whether a literal's distinct-pivot support reaches ``σ``.
-
-        With ``config.sketch_support_prefilter``, an HLL sketch first gives
-        a probable *upper bound* on the distinct-pivot count; only literals
-        whose bound reaches ``σ`` get the exact run count (the source of
-        truth).  The sketch can only skip clearly-infrequent literals.
-        """
+        """Whether a literal's distinct-pivot support reaches ``σ``."""
         mask = table.literal_mask(literal)
-        if self.config.sketch_support_prefilter:
-            if table.mask_count(mask) < self.config.sigma:
-                return False
-            bound = table.sketch_support_bound(
-                mask,
-                self.config.sketch_precision,
-                kind=self.config.sketch_backend,
-            )
-            if bound < self.config.sigma:
-                self.stats.sketch_pruned_literals += 1
-                return False
         return table.mask_support(mask) >= self.config.sigma
 
     def _mine_rhs(

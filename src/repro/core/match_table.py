@@ -310,34 +310,6 @@ class MatchTable:
             return 0
         return int(np.count_nonzero(codes[1:] != codes[:-1])) + 1
 
-    def mask_pivot_values(self, mask: np.ndarray) -> np.ndarray:
-        """The (non-distinct) pivot nodes of the selected rows.
-
-        Feeds sketch-based distinct estimation without exposing the
-        table's internal pivot layout to callers.
-        """
-        return self._pivot_array[mask]
-
-    def sketch_support_bound(
-        self,
-        mask: np.ndarray,
-        precision: int = 12,
-        z: float = 3.0,
-        kind: str = "hll",
-    ) -> int:
-        """A probable *upper bound* on :meth:`mask_support` via a sketch.
-
-        Cheap pre-filter companion to the exact run count: a bound below a
-        threshold proves (with sketch confidence ``z``) the support is too,
-        while anything at or above it still needs :meth:`mask_support`.
-        ``kind`` selects a registered cardinality estimator (default HLL).
-        """
-        from .support import sketch_distinct_upper_bound
-
-        return sketch_distinct_upper_bound(
-            self._pivot_array[mask], precision, z, kind=kind
-        )
-
     def stack_supports(self, stack: np.ndarray) -> np.ndarray:
         """Distinct-pivot counts per row of a 2-D boolean mask stack.
 

@@ -22,7 +22,6 @@ class MiningStats:
     positives_found: int = 0
     negatives_found: int = 0
     truncated_patterns: int = 0
-    sketch_pruned_literals: int = 0
     elapsed_seconds: float = 0.0
     matching_seconds: float = 0.0
     validation_seconds: float = 0.0

@@ -1,9 +1,8 @@
 """Pluggable cardinality estimation — one protocol, a registry of sketches.
 
-Every probabilistic distinct-count in the system (the ``HSpawn`` support
-prefilter, enforcement's ``sketch_cardinality`` pivot bounds) goes through
-the :class:`CardinalitySketch` protocol instead of hard-coding one
-estimator.  The built-in implementations are
+Every probabilistic distinct-count in the system (enforcement's
+``sketch_cardinality`` pivot bounds, the violation monitor) goes through the
+:class:`CardinalitySketch` protocol instead of hard-coding one estimator.  The built-in implementations are
 
 * ``"hll"`` — the vectorized HyperLogLog of
   :class:`~repro.core.support.DistinctPivotSketch` (the default; registered
@@ -15,19 +14,18 @@ estimator.  The built-in implementations are
 Alternative estimators — e.g. an UltraLogLog (Ertl 2023) with its ~28 %
 smaller memory footprint at equal error — slot in by calling
 :func:`register_sketch` with a factory taking the precision parameter; the
-``sketch_backend`` knobs on :class:`~repro.core.config.DiscoveryConfig` and
-:class:`~repro.core.config.EnforcementConfig` then select them by name.
+``sketch_backend`` knob on :class:`~repro.core.config.EnforcementConfig`
+then selects them by name.
 
-The protocol's contract (what the discovery shards rely on):
+The protocol's contract (what its callers rely on):
 
 * ``add_array`` absorbs int64 id arrays, duplicates free;
 * ``merge`` unions two sketches of equal precision — the result must bound
   the union of the inputs (register-wise max for HLL) so per-shard sketches
   combine into a global one;
 * ``estimate``/``upper_bound`` — ``upper_bound`` must hold with high
-  probability, because callers use it to *skip* exact counting only when
-  the bound is already below a threshold (exact counting stays the source
-  of truth for everything the sketch does not prune).
+  probability, because callers report it in place of an exact distinct
+  count (an overcount, never an undercount).
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from .backend import (
     SharedIndexBuffers,
     TransferLedger,
     make_backend,
-    shared_memory_available,
 )
 from .balancer import (
     assign_units_lpt,
@@ -24,7 +23,7 @@ from .costs import ChaseCostModel, PhaseCostPlanner
 from .faults import FaultPlan
 from .janitor import live_segments, sweep_orphans
 from .parcover import parallel_cover, parallel_cover_ungrouped
-from .pardis import ParallelDiscovery, discover_parallel
+from .pardis import ParallelDiscovery
 
 __all__ = [
     "BACKEND_NAMES",
@@ -40,12 +39,10 @@ __all__ = [
     "live_segments",
     "sweep_orphans",
     "make_backend",
-    "shared_memory_available",
     "SimulatedCluster",
     "ClusterMetrics",
     "WorkerMetrics",
     "ParallelDiscovery",
-    "discover_parallel",
     "parallel_cover",
     "parallel_cover_ungrouped",
     "assign_units_lpt",

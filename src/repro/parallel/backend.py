@@ -15,13 +15,13 @@ and its cover-phase rule set — and delegates execution to a backend:
 * :class:`MultiprocessBackend` runs each worker as a dedicated
   single-process :class:`~concurrent.futures.ProcessPoolExecutor` (one pool
   per worker gives task→worker affinity, which the shard state requires).
-  The frozen :class:`~repro.graph.index.GraphIndex` is shipped **once** via
-  ``multiprocessing.shared_memory`` — workers attach the flat numpy buffers
-  zero-copy — with a pickle fallback for platforms (or configs) without
-  shared memory.  Per-op compute seconds are measured worker-side and
-  charged back into the simulated-cluster ledger so the modeled BSP metrics
-  stay comparable across backends; real wall-clock lives in
-  ``DiscoveryResult.stats.elapsed_seconds``.
+  The frozen :class:`~repro.graph.index.GraphIndex` is shipped **once**:
+  workers mmap a persisted ``RGIX`` snapshot file when the index has one,
+  and otherwise attach the flat numpy buffers zero-copy from one
+  ``multiprocessing.shared_memory`` segment.  Per-op compute seconds are
+  measured worker-side and charged back into the simulated-cluster ledger
+  so the modeled BSP metrics stay comparable across backends; real
+  wall-clock lives in ``DiscoveryResult.stats.elapsed_seconds``.
 
 Both backends execute the same op implementations, so the discovered GFD
 sets are identical by construction — the randomized differential harness
@@ -42,17 +42,15 @@ calls.  The :class:`TransferLedger` on every backend counts exactly which
 match rows cross the master boundary, so tests and benchmarks can *prove*
 that only manifests and scalars travel.
 
-Round-trip amortization (the *op fusion* layer): with ``fuse_ops`` (the
-default) the multiprocess backend transparently groups a superstep's
-requests by worker and submits each worker's whole op sequence as **one**
-``_mp_execute_fused`` round trip — one pickle each way per worker instead
-of one per op — then charges, accounts and journals per fused *element*,
-so metering, the transfer ledger and crash recovery are byte-identical to
-per-op submission.  Large array payloads (install matches, enforcement
-balls/deltas) additionally route through a per-superstep shared-memory
-segment instead of the pickle channel.  Fusion is a pure transport
-optimization; the engines separately *batch* more work into each superstep
-(``DiscoveryConfig.fuse_ops``), which is what reduces the superstep count.
+Fused submission: the multiprocess backend groups every batch's requests
+by worker and submits each worker's whole op sequence as **one**
+``_mp_execute_fused`` round trip — one pickle each way per worker — then
+charges, accounts and journals per fused *element*, so metering, the
+transfer ledger and crash recovery see individual ops.  Large array
+payloads (install matches, enforcement balls/deltas) additionally route
+through a per-batch shared-memory segment instead of the pickle channel.
+The engines batch a whole level's work into each superstep, which is what
+keeps the superstep count low.
 """
 
 from __future__ import annotations
@@ -80,11 +78,6 @@ from ..pattern.incremental import extend_matches
 from . import janitor
 from .faults import FaultPlan
 
-try:  # pragma: no cover - availability depends on the platform
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-
 __all__ = [
     "BACKEND_NAMES",
     "ShardWorker",
@@ -96,8 +89,6 @@ __all__ = [
     "LifecycleCounters",
     "make_backend",
     "next_node_key",
-    "shared_memory_available",
-    "warn_standalone_entry_point",
 ]
 
 #: Recognized values of ``DiscoveryConfig.parallel_backend``.
@@ -114,31 +105,6 @@ _NODE_KEYS = itertools.count()
 def next_node_key() -> int:
     """A fresh process-wide worker-state key (pattern node, Σ slot, ...)."""
     return next(_NODE_KEYS)
-
-
-def warn_standalone_entry_point(function: str, backend: Any) -> None:
-    """Deprecation notice for per-call backend construction.
-
-    The legacy wrappers (``discover_parallel``, ``parallel_cover``) remain
-    supported shims, but a standalone call — one that does not reuse a
-    pre-started :class:`ExecutionBackend` — spins up and tears down a pool
-    set per invocation; sessions share one.  Callers that *have* no graph
-    to open a session over (the ``repro-gfd cover`` verb) suppress this
-    explicitly.
-    """
-    if not isinstance(backend, ExecutionBackend):
-        warnings.warn(
-            f"{function}() builds a fresh execution backend per call; "
-            "prefer repro.session.Session, which starts the worker pools "
-            "once and shares them across discover/cover/enforce",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
-def shared_memory_available() -> bool:
-    """Whether ``multiprocessing.shared_memory`` exists on this platform."""
-    return _shared_memory is not None
 
 
 # ----------------------------------------------------------------------
@@ -784,12 +750,6 @@ class ExecutionBackend:
     #: Whether workers can exchange rows through a shared staging segment
     #: (worker-to-worker shipping without a master round-trip).
     supports_staging: bool = False
-    #: Whether a superstep's requests are fused into one submission per
-    #: worker (one pickle round trip carrying the worker's whole op
-    #: sequence).  Purely a transport optimization: results, metering and
-    #: ledger accounting are per-op either way.  In-process backends fuse
-    #: trivially (there is no transport), so the flag is structural there.
-    fuse_ops: bool = True
     #: Identity of the graph snapshot the workers were built around; an
     #: engine refuses to run on a backend holding a different snapshot.
     source_token: Tuple = ()
@@ -861,11 +821,9 @@ class SerialBackend(ExecutionBackend):
         graph: Optional[Graph],
         index: Optional[GraphIndex],
         gamma: Sequence[str],
-        fuse_ops: bool = True,
         tracer: Any = NULL_TRACER,
     ) -> None:
         self.num_workers = num_workers
-        self.fuse_ops = bool(fuse_ops)
         self.tracer = tracer
         self.source_token = (id(graph), id(index))
         self.transfers = TransferLedger()
@@ -947,8 +905,6 @@ class _SharedArrayPack:
     """
 
     def __init__(self, arrays: Dict[str, np.ndarray]) -> None:
-        if _shared_memory is None:  # pragma: no cover - platform dependent
-            raise RuntimeError("multiprocessing.shared_memory is unavailable")
         layout: Dict[str, Tuple[str, Tuple[int, ...], int]] = {}
         contiguous: Dict[str, np.ndarray] = {}
         offset = 0
@@ -1153,7 +1109,6 @@ def _attach_store_index(path: str) -> "GraphIndex":
 def _mp_initialize(
     spec_blob: bytes,
     segment_name: Optional[str],
-    arrays_blob: Optional[bytes],
     worker_id: int = 0,
     fault_blob: Optional[bytes] = None,
 ) -> None:
@@ -1175,19 +1130,14 @@ def _mp_initialize(
     if spec.get("meta") is None:
         _WORKER = ShardWorker(None, None, spec["gamma"])
         return
-    if segment_name is not None:
-        segment = _attach_segment(segment_name)
-        _SEGMENTS = [segment]
-        arrays = _views_from_layout(spec["layout"], segment.buf)
-    else:
-        arrays = pickle.loads(arrays_blob)
+    segment = _attach_segment(segment_name)
+    _SEGMENTS = [segment]
+    arrays = _views_from_layout(spec["layout"], segment.buf)
     index = GraphIndex.from_buffers(spec["meta"], arrays)
     _WORKER = ShardWorker(None, index, spec["gamma"])
 
 
-def _mp_attach_index(
-    spec_blob: bytes, segment_name: Optional[str], arrays_blob: Optional[bytes]
-) -> bool:
+def _mp_attach_index(spec_blob: bytes, segment_name: Optional[str]) -> bool:
     """Swap the worker process onto a new full index snapshot.
 
     Builds the new detached :class:`GraphIndex` first, then closes the old
@@ -1205,13 +1155,9 @@ def _mp_attach_index(
         if old_mapping is not None and old_mapping is not _MAPPING:
             old_mapping.close()
         return True
-    if segment_name is not None:
-        segment = _attach_segment(segment_name)
-        chain = [segment]
-        arrays = _views_from_layout(spec["layout"], segment.buf)
-    else:
-        chain = []
-        arrays = pickle.loads(arrays_blob)
+    segment = _attach_segment(segment_name)
+    chain = [segment]
+    arrays = _views_from_layout(spec["layout"], segment.buf)
     _WORKER.index = GraphIndex.from_buffers(spec["meta"], arrays)
     old, _SEGMENTS = _SEGMENTS, chain
     old_mapping, _MAPPING = _MAPPING, None
@@ -1236,13 +1182,11 @@ def _index_arrays(index: GraphIndex) -> Dict[str, np.ndarray]:
     return arrays
 
 
-def _mp_attach_delta(
-    spec_blob: bytes, segment_name: Optional[str], arrays_blob: Optional[bytes]
-) -> bool:
+def _mp_attach_delta(spec_blob: bytes, segment_name: str) -> bool:
     """Merge a changed-array delta into the worker's current index.
 
     ``spec["names"]`` lists every array of the *new* snapshot; changed ones
-    arrive in the delta segment (or pickled), unchanged ones are taken from
+    arrive in the delta segment, unchanged ones are taken from
     the live index — byte-identical to what a full re-export would ship,
     since unchanged means bytewise-equal under the new meta.  The delta
     segment joins the attachment chain (its views live as long as the
@@ -1250,12 +1194,9 @@ def _mp_attach_delta(
     """
     global _WORKER, _SEGMENTS
     spec = pickle.loads(spec_blob)
-    if segment_name is not None:
-        segment = _attach_segment(segment_name)
-        changed = _views_from_layout(spec["layout"], segment.buf)
-        _SEGMENTS.append(segment)
-    else:
-        changed = pickle.loads(arrays_blob)
+    segment = _attach_segment(segment_name)
+    changed = _views_from_layout(spec["layout"], segment.buf)
+    _SEGMENTS.append(segment)
     current = _index_arrays(_WORKER.index)
     merged = {
         name: changed[name] if name in changed else current[name]
@@ -1266,7 +1207,11 @@ def _mp_attach_delta(
 
 
 def _mp_execute(op: str, key: int, payload: Dict[str, Any]) -> Tuple[Any, float]:
-    """Run one op in the worker process, returning (result, compute secs)."""
+    """Run one op in the worker process, returning (result, compute secs).
+
+    The supervised install-log replay of :meth:`MultiprocessBackend.
+    _recover` resubmits journaled ops through this one at a time.
+    """
     if _FAULTS is not None:
         # injected faults fire *before* the op runs, so a chaos kill never
         # half-applies worker state (replay + retry apply it exactly once)
@@ -1290,8 +1235,8 @@ def _mp_execute_fused(
     seconds)`` pair :func:`_mp_execute` would — the master charges,
     accounts and journals per element, so fused submission is invisible to
     metering, the transfer ledger and crash recovery.  Injected faults
-    fire per element (the chaos counters see the same op sequence as
-    unfused execution).
+    fire per element, before the op runs (the chaos counters see the
+    individual op sequence).
     """
     outcomes: List[Tuple[Any, float]] = []
     cache: Dict[str, Any] = {}
@@ -1336,34 +1281,26 @@ class MultiprocessBackend(ExecutionBackend):
         num_workers: int,
         index: Optional[GraphIndex],
         gamma: Sequence[str],
-        use_shared_memory: bool = True,
         fault: Optional[FaultConfig] = None,
-        fuse_ops: bool = True,
         tracer: Any = NULL_TRACER,
     ) -> None:
         self.num_workers = num_workers
-        self.fuse_ops = bool(fuse_ops)
         self.tracer = tracer
         # pin the snapshot: the token is id()-based, so the objects must
         # stay alive for the backend's lifetime or a recycled id could
         # falsely validate a different graph
         self._index = index
         self._gamma = list(gamma)
-        self._use_shared_memory = bool(
-            use_shared_memory and shared_memory_available()
-        )
         self._fault = fault
         self._plan = (
             FaultPlan.from_json(fault.fault_plan) if fault is not None else None
         )
-        # staging honors the same opt-out as the index transport: with
-        # shared memory disabled (or absent), rebalancing falls back to
-        # the fetch-through-master route instead of allocating segments.
-        # Supervision disables it too: staging segments are unlinked right
-        # after their superstep, so an install-log replay could not
-        # reconstruct them — the fetch-through-master fallback is fully
-        # replayable and produces identical results.
-        self.supports_staging = self._use_shared_memory and fault is None
+        # supervision disables staging: staging segments are unlinked
+        # right after their superstep, so an install-log replay could not
+        # reconstruct them — rebalancing then takes the fetch-through-
+        # master route, which is fully replayable and gives identical
+        # results
+        self.supports_staging = fault is None
         self.transfers = TransferLedger()
         self.lifecycle = LifecycleCounters(
             pools_started=num_workers,
@@ -1390,8 +1327,8 @@ class MultiprocessBackend(ExecutionBackend):
         self.recovery_seconds = 0.0
         self.buffers: Optional[SharedIndexBuffers] = None
         #: How the index snapshot reaches the workers: ``mmap`` (persisted
-        #: store file), ``shm`` (shared-memory segment), ``pickle``
-        #: (fallback channel) or ``none`` (graph-free pool).
+        #: store file), ``shm`` (shared-memory segment) or ``none``
+        #: (graph-free pool).
         self.index_transport = "none"
         self._base_initargs, self.buffers = self._index_initargs(index)
         if tracer.enabled and index is not None:
@@ -1445,16 +1382,15 @@ class MultiprocessBackend(ExecutionBackend):
         (``index.store_path`` naming a store file whose fingerprint still
         matches) ships as just the path — every worker mmap-attaches the
         file and the master allocates nothing; otherwise the arrays are
-        packed into one shared-memory segment; without shared memory they
-        fall back to the pickle channel.  The chosen route is recorded in
-        :attr:`index_transport`.  All three routes are replayable from
-        ``_base_initargs`` by a supervised respawn (the store file must
-        simply outlive the backend, like the segment does).
+        packed into one shared-memory segment.  The chosen route is
+        recorded in :attr:`index_transport`.  Both routes are replayable
+        from ``_base_initargs`` by a supervised respawn (the store file
+        must simply outlive the backend, like the segment does).
         """
         if index is None:
             self.index_transport = "none"
             spec = {"meta": None, "gamma": self._gamma}
-            return (pickle.dumps(spec), None, None), None
+            return (pickle.dumps(spec), None), None
         store_path = getattr(index, "store_path", None)
         if store_path is not None:
             from ..graph.store import snapshot_matches
@@ -1468,24 +1404,19 @@ class MultiprocessBackend(ExecutionBackend):
                     "mmap_path": str(store_path),
                     "gamma": self._gamma,
                 }
-                return (pickle.dumps(spec), None, None), None
-        if self._use_shared_memory:
-            self.index_transport = "shm"
-            buffers = SharedIndexBuffers(index)
-            spec = {
-                "meta": buffers.meta,
-                "layout": buffers.layout,
-                "gamma": self._gamma,
-            }
-            return (pickle.dumps(spec), buffers.name, None), buffers
-        self.index_transport = "pickle"
-        meta, arrays = index.export_buffers()
-        spec = {"meta": meta, "gamma": self._gamma}
-        return (pickle.dumps(spec), None, pickle.dumps(arrays)), None
+                return (pickle.dumps(spec), None), None
+        self.index_transport = "shm"
+        buffers = SharedIndexBuffers(index)
+        spec = {
+            "meta": buffers.meta,
+            "layout": buffers.layout,
+            "gamma": self._gamma,
+        }
+        return (pickle.dumps(spec), buffers.name), buffers
 
     @property
     def shm_name(self) -> Optional[str]:
-        """The shared segment's name (None on the pickle-fallback path)."""
+        """The shared segment's name (None on the mmap and graph-free paths)."""
         return self.buffers.name if self.buffers is not None else None
 
     def refresh_index(self, index: GraphIndex) -> None:
@@ -1505,8 +1436,8 @@ class MultiprocessBackend(ExecutionBackend):
         if self._fault is None and self._last_export is not None:
             export = index.export_buffers()
             changed = self._changed_arrays(export)
-            if changed is not None and self._refresh_delta(index, export,
-                                                           changed):
+            if changed is not None:
+                self._refresh_delta(index, export, changed)
                 return
         initargs, new_buffers = self._index_initargs(index)
         try:
@@ -1572,7 +1503,7 @@ class MultiprocessBackend(ExecutionBackend):
 
     def _refresh_delta(
         self, index: GraphIndex, export, changed: Dict[str, np.ndarray]
-    ) -> bool:
+    ) -> None:
         """Ship only the changed arrays; workers merge with their views.
 
         The delta segment is released (unlinked) as soon as every worker
@@ -1588,26 +1519,18 @@ class MultiprocessBackend(ExecutionBackend):
             "gamma": self._gamma,
             "names": sorted(arrays),
         }
-        pack: Optional[_SharedArrayPack] = None
-        if self._use_shared_memory:
-            pack = _SharedArrayPack(changed)
-            spec["layout"] = pack.layout
-            initargs = (pickle.dumps(spec), pack.name, None)
-        else:
-            initargs = (pickle.dumps(spec), None, pickle.dumps(changed))
+        pack = _SharedArrayPack(changed)
+        spec["layout"] = pack.layout
+        spec_blob = pickle.dumps(spec)
         try:
             futures = [
-                pool.submit(_mp_attach_delta, *initargs)
+                pool.submit(_mp_attach_delta, spec_blob, pack.name)
                 for worker, pool in enumerate(self._pools)
                 if worker not in self._local
             ]
             for future in futures:
                 future.result()
-        except Exception:
-            if pack is not None:
-                pack.close()
-            raise
-        if pack is not None:
+        finally:
             pack.close()
         self._index = index
         for shard in self._local.values():  # pragma: no cover - fault-only
@@ -1620,12 +1543,11 @@ class MultiprocessBackend(ExecutionBackend):
             self.tracer.event(
                 "index_refresh", mode="delta", changed_arrays=len(changed)
             )
-        return True
 
     def create_stage(self, nbytes: int):
         """A fresh staging segment for one worker-to-worker exchange."""
-        if not self.supports_staging:  # pragma: no cover - platform dependent
-            raise RuntimeError("shared memory is unavailable")
+        if not self.supports_staging:  # pragma: no cover - engines check first
+            raise RuntimeError("staging is disabled on supervised backends")
         return janitor.create_segment(nbytes)
 
     def release_stage(self, segment) -> None:
@@ -1706,62 +1628,6 @@ class MultiprocessBackend(ExecutionBackend):
         started = time.perf_counter()
         result = self._local[worker].execute(op, key, payload)
         return result, time.perf_counter() - started
-
-    def _submit(self, worker: int, op: str, key: int,
-                payload: Dict[str, Any]):
-        """Dispatch one supervised op; returns a handle for _collect.
-
-        Demoted slots execute inline immediately — every earlier op of a
-        demoted worker already ran inline, so in-order semantics hold.
-        """
-        if worker in self._local:
-            return ("local", self._run_local(worker, op, key, payload))
-        return (
-            self._generation[worker],
-            self._pools[worker].submit(_mp_execute, op, key, payload),
-        )
-
-    def _collect(self, worker: int, op: str, key: int,
-                 payload: Dict[str, Any], handle) -> Tuple[Any, float]:
-        """Await one supervised op, recovering and retrying on failure."""
-        tag, future = handle
-        if tag == "local":
-            return future
-        generation = tag
-        attempts = 0
-        while True:
-            try:
-                return future.result(timeout=self._fault.op_timeout_s)
-            except Exception as error:
-                if not self._is_transport_failure(error):
-                    raise  # a real op error: supervision must not mask bugs
-                if isinstance(error, _FuturesTimeout):
-                    self.lifecycle.timeouts += 1
-                    if self.tracer.enabled:
-                        self.tracer.event("timeout", worker=worker, op=op)
-                if worker not in self._local and (
-                    generation == self._generation[worker]
-                ):
-                    # first failure of this pool generation: replace the
-                    # worker and replay its log.  A stale generation means
-                    # a sibling request already recovered this worker — the
-                    # retry below just re-submits to the healthy pool.
-                    self._recover(worker)
-                if worker in self._local:
-                    return self._run_local(worker, op, key, payload)
-                attempts += 1
-                if attempts > self._fault.max_retries:
-                    raise
-                self.lifecycle.retries += 1
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "retry", worker=worker, op=op, attempt=attempts
-                    )
-                time.sleep(self._fault.backoff_base * (2 ** (attempts - 1)))
-                generation = self._generation[worker]
-                future = self._pools[worker].submit(
-                    _mp_execute, op, key, payload
-                )
 
     def _recover(self, worker: int) -> None:
         """Respawn one worker and replay its install log (or degrade).
@@ -1855,7 +1721,11 @@ class MultiprocessBackend(ExecutionBackend):
 
     def _submit_fused(self, worker: int,
                       elements: List[Tuple[str, int, Dict[str, Any]]]):
-        """Dispatch one worker's fused element list (supervised path)."""
+        """Dispatch one worker's fused element list; a handle for collect.
+
+        Demoted slots execute inline immediately — every earlier op of a
+        demoted worker already ran inline, so in-order semantics hold.
+        """
         if worker in self._local:
             return (
                 "local",
@@ -1874,17 +1744,22 @@ class MultiprocessBackend(ExecutionBackend):
                        handle) -> List[Tuple[Any, float]]:
         """Await one fused batch, recovering and retrying on failure.
 
-        The whole batch is the retry unit: a worker that died mid-batch
-        discarded every partial effect with its process, and nothing of the
-        batch was journaled yet, so respawn + log replay + full-batch retry
-        applies each element exactly once.  The deadline scales with the
-        element count (per-op deadlines, fused transport).
+        Unsupervised backends simply wait.  Under supervision the whole
+        batch is the retry unit: a worker that died mid-batch discarded
+        every partial effect with its process, and nothing of the batch was
+        journaled yet, so respawn + log replay + full-batch retry applies
+        each element exactly once.  The deadline scales with the element
+        count (per-op deadlines, fused transport); ``op_timeout_s=None``
+        waits without one.
         """
         tag, future = handle
         if tag == "local":
             return future
+        if self._fault is None:
+            return future.result()
         generation = tag
-        deadline = self._fault.op_timeout_s * max(1, len(elements))
+        timeout = self._fault.op_timeout_s
+        deadline = None if timeout is None else timeout * max(1, len(elements))
         attempts = 0
         while True:
             try:
@@ -1901,6 +1776,10 @@ class MultiprocessBackend(ExecutionBackend):
                 if worker not in self._local and (
                     generation == self._generation[worker]
                 ):
+                    # first failure of this pool generation: replace the
+                    # worker and replay its log.  A stale generation means
+                    # a sibling request already recovered this worker — the
+                    # retry below just re-submits to the healthy pool.
                     self._recover(worker)
                 if worker in self._local:
                     return [
@@ -1924,159 +1803,27 @@ class MultiprocessBackend(ExecutionBackend):
                     _mp_execute_fused, elements
                 )
 
-    def _stage(self, requests: Sequence[Request]):
-        """Payload staging when the segment transport is usable."""
-        if self._use_shared_memory and self._fault is None:
-            # supervised backends skip it: a journal replay could not
-            # reconstruct an unlinked payload segment (same rationale as
-            # staging); pickled payloads are fully replayable
-            return _stage_payloads(requests)
-        return list(requests), None
+    def _run_batch(self, requests: List[Request], on_op,
+                   wait: bool = True) -> List[Any]:
+        """Run one batch as one fused submission per worker.
 
-    # ------------------------------------------------------------------
-    def run_superstep(self, step, requests: Sequence[Request]) -> List[Any]:
-        requests = list(requests)
-        if self._fault is None:
-            staged, pack = self._stage(requests)
-            try:
-                if self.fuse_ops and len(requests) > 1:
-                    groups = self._worker_groups(requests)
-                    futures = {
-                        worker: self._pools[worker].submit(
-                            _mp_execute_fused,
-                            [staged[p][1:] for p in positions],
-                        )
-                        for worker, positions in groups.items()
-                    }
-                    results: List[Any] = [None] * len(requests)
-                    for worker, positions in groups.items():
-                        outcomes = futures[worker].result()
-                        for position, (result, seconds) in zip(
-                            positions, outcomes
-                        ):
-                            _, op, _key, payload = requests[position]
-                            step.charge(worker, seconds, op)
-                            _account(self, op, payload, result)
-                            results[position] = result
-                    return results
-                futures = [
-                    (
-                        worker,
-                        self._pools[worker].submit(
-                            _mp_execute, op, key, payload
-                        ),
-                    )
-                    for worker, op, key, payload in staged
-                ]
-                results = []
-                for (worker, future), (_, op, _key, payload) in zip(
-                    futures, requests
-                ):
-                    result, seconds = future.result()
-                    step.charge(worker, seconds, op)
-                    _account(self, op, payload, result)
-                    results.append(result)
-                return results
-            finally:
-                if pack is not None:
-                    pack.close()
-        if self.fuse_ops and len(requests) > 1:
+        ``on_op(worker, op, seconds)`` meters each element as it is
+        collected; accounting and journaling are per element too.  Large
+        array payloads go through a shared segment only on unsupervised
+        backends that wait: a journal replay could not reconstruct an
+        unlinked payload segment (same rationale as staging), and a
+        fire-and-forget batch (drops) carries no arrays — so a payload
+        segment is never released while a worker might still resolve it.
+        """
+        supervised = self._fault is not None
+        pack = None
+        staged = requests
+        if wait and not supervised:
+            staged, pack = _stage_payloads(requests)
+        try:
             groups = self._worker_groups(requests)
             elements = {
-                worker: [requests[p][1:] for p in positions]
-                for worker, positions in groups.items()
-            }
-            handles = {
-                worker: self._submit_fused(worker, elements[worker])
-                for worker in groups
-            }
-            before = self.recovery_seconds
-            results = [None] * len(requests)
-            for worker, positions in groups.items():
-                outcomes = self._collect_fused(
-                    worker, elements[worker], handles[worker]
-                )
-                for position, (result, seconds) in zip(positions, outcomes):
-                    _, op, key, payload = requests[position]
-                    step.charge(worker, seconds, op)
-                    _account(self, op, payload, result)
-                    self._journal(worker, op, key, payload)
-                    results[position] = result
-            if self.recovery_seconds > before:
-                step.recover(self.recovery_seconds - before)
-            return results
-        handles = [
-            (worker, op, key, payload, self._submit(worker, op, key, payload))
-            for worker, op, key, payload in requests
-        ]
-        before = self.recovery_seconds
-        results = []
-        for worker, op, key, payload, handle in handles:
-            result, seconds = self._collect(worker, op, key, payload, handle)
-            step.charge(worker, seconds, op)
-            _account(self, op, payload, result)
-            self._journal(worker, op, key, payload)
-            results.append(result)
-        if self.recovery_seconds > before:
-            step.recover(self.recovery_seconds - before)
-        return results
-
-    def run_unmetered(
-        self, requests: Sequence[Request], wait: bool = True
-    ) -> List[Any]:
-        requests = list(requests)
-        if self._fault is None:
-            # fire-and-forget batches (drops) carry no arrays — stage only
-            # when the master will wait, so a payload segment is never
-            # released while a worker might still be resolving it
-            staged, pack = self._stage(requests) if wait else (requests, None)
-            try:
-                if self.fuse_ops and len(requests) > 1:
-                    groups = self._worker_groups(requests)
-                    futures = {
-                        worker: self._pools[worker].submit(
-                            _mp_execute_fused,
-                            [staged[p][1:] for p in positions],
-                        )
-                        for worker, positions in groups.items()
-                    }
-                    if not wait:
-                        return []
-                    results: List[Any] = [None] * len(requests)
-                    for worker, positions in groups.items():
-                        outcomes = futures[worker].result()
-                        for position, (result, seconds) in zip(
-                            positions, outcomes
-                        ):
-                            _, op, _key, payload = requests[position]
-                            if self.tracer.enabled:
-                                self.tracer.worker_op(worker, op, seconds)
-                            _account(self, op, payload, result)
-                            results[position] = result
-                    return results
-                futures = [
-                    self._pools[worker].submit(_mp_execute, op, key, payload)
-                    for worker, op, key, payload in staged
-                ]
-                if not wait:
-                    return []
-                results = []
-                for future, (worker, op, _key, payload) in zip(
-                    futures, requests
-                ):
-                    result, seconds = future.result()
-                    if self.tracer.enabled:
-                        self.tracer.worker_op(worker, op, seconds)
-                    _account(self, op, payload, result)
-                    results.append(result)
-                return results
-            finally:
-                if pack is not None:
-                    pack.close()
-        if self.fuse_ops and len(requests) > 1:
-            groups = self._worker_groups(requests)
-            elements = {
-                worker: [requests[p][1:] for p in positions]
+                worker: [staged[p][1:] for p in positions]
                 for worker, positions in groups.items()
             }
             handles = {
@@ -2084,45 +1831,52 @@ class MultiprocessBackend(ExecutionBackend):
                 for worker in groups
             }
             if not wait:
-                # fire-and-forget is only used for idempotent releases
-                # (drops); journaling at submit time is safe for those, and
-                # replay keeps the submit order
-                for worker, op, key, payload in requests:
-                    self._journal(worker, op, key, payload)
+                if supervised:
+                    # fire-and-forget is only used for idempotent releases
+                    # (drops); journaling at submit time is safe for those,
+                    # and replay keeps the submit order, so a lost drop is
+                    # re-applied on recovery
+                    for worker, op, key, payload in requests:
+                        self._journal(worker, op, key, payload)
                 return []
-            results = [None] * len(requests)
+            results: List[Any] = [None] * len(requests)
             for worker, positions in groups.items():
                 outcomes = self._collect_fused(
                     worker, elements[worker], handles[worker]
                 )
                 for position, (result, seconds) in zip(positions, outcomes):
                     _, op, key, payload = requests[position]
-                    if self.tracer.enabled:
-                        self.tracer.worker_op(worker, op, seconds)
+                    on_op(worker, op, seconds)
                     _account(self, op, payload, result)
-                    self._journal(worker, op, key, payload)
+                    if supervised:
+                        self._journal(worker, op, key, payload)
                     results[position] = result
             return results
-        handles = [
-            (worker, op, key, payload, self._submit(worker, op, key, payload))
-            for worker, op, key, payload in requests
-        ]
-        if not wait:
-            # fire-and-forget is only used for idempotent releases (drops);
-            # journaling at submit time is safe for those, and replay keeps
-            # the submit order, so a lost drop is re-applied on recovery
-            for worker, op, key, payload, _handle in handles:
-                self._journal(worker, op, key, payload)
-            return []
-        results = []
-        for worker, op, key, payload, handle in handles:
-            result, seconds = self._collect(worker, op, key, payload, handle)
-            if self.tracer.enabled:
-                self.tracer.worker_op(worker, op, seconds)
-            _account(self, op, payload, result)
-            self._journal(worker, op, key, payload)
-            results.append(result)
+        finally:
+            if pack is not None:
+                pack.close()
+
+    # ------------------------------------------------------------------
+    def run_superstep(self, step, requests: Sequence[Request]) -> List[Any]:
+        before = self.recovery_seconds
+        results = self._run_batch(
+            list(requests),
+            lambda worker, op, seconds: step.charge(worker, seconds, op),
+        )
+        if self.recovery_seconds > before:
+            step.recover(self.recovery_seconds - before)
         return results
+
+    def run_unmetered(
+        self, requests: Sequence[Request], wait: bool = True
+    ) -> List[Any]:
+        tracer = self.tracer
+
+        def on_op(worker: int, op: str, seconds: float) -> None:
+            if tracer.enabled:
+                tracer.worker_op(worker, op, seconds)
+
+        return self._run_batch(list(requests), on_op, wait=wait)
 
     def shutdown(self) -> None:
         """Release pools, journals and shared memory (fully idempotent).
@@ -2157,16 +1911,17 @@ def make_backend(
     graph: Optional[Graph],
     index: Optional[GraphIndex],
     gamma: Sequence[str],
-    use_shared_memory: bool = True,
     fault: Any = "auto",
-    fuse_ops: bool = True,
     tracer: Any = NULL_TRACER,
 ) -> ExecutionBackend:
     """Instantiate a backend by config name (``serial`` | ``multiprocess``).
 
     ``graph``/``index`` may both be ``None`` for graph-free work (the cover
     phase); discovery and enforcement pass the frozen index so multiprocess
-    workers can attach it via shared memory.
+    workers can attach it — by mmap when the index was loaded from a
+    persisted store file that still matches, else via one shared-memory
+    segment.  Every batch a multiprocess backend runs goes out as one fused
+    submission per worker (see the module docstring).
 
     ``fault`` is the supervision policy (a :class:`~repro.core.config.
     FaultConfig`, or ``None`` to disable).  The default ``"auto"`` follows
@@ -2174,11 +1929,6 @@ def make_backend(
     ``REPRO_FAULT_PLAN`` is set, so the chaos CI job covers call sites that
     never mention faults.  The serial backend ignores it (in-process
     execution cannot lose a worker).
-
-    ``fuse_ops`` enables the fused transport: one submission per worker
-    per batch instead of one per op (see the module docstring).  Results
-    are identical either way; ``False`` restores per-op submission (the
-    differential suites pin the equivalence).
 
     ``tracer`` wires a :class:`repro.obs.Tracer` into the backend (and
     should match the cluster's): construction/supervision emit typed
@@ -2188,17 +1938,10 @@ def make_backend(
     if fault == "auto":
         fault = _default_fault()
     if name == "serial":
-        return SerialBackend(num_workers, graph, index, gamma,
-                             fuse_ops=fuse_ops, tracer=tracer)
+        return SerialBackend(num_workers, graph, index, gamma, tracer=tracer)
     if name == "multiprocess":
         return MultiprocessBackend(
-            num_workers,
-            index,
-            gamma,
-            use_shared_memory=use_shared_memory,
-            fault=fault,
-            fuse_ops=fuse_ops,
-            tracer=tracer,
+            num_workers, index, gamma, fault=fault, tracer=tracer
         )
     raise ValueError(
         f"unknown parallel backend {name!r} (expected one of {BACKEND_NAMES})"

@@ -46,14 +46,12 @@ from .backend import (
     ExecutionBackend,
     make_backend,
     next_node_key,
-    warn_standalone_entry_point,
 )
 from .balancer import assign_units_lpt
 from .cluster import SimulatedCluster
 from .costs import ChaseCostModel
 
 __all__ = ["parallel_cover", "parallel_cover_ungrouped"]
-
 
 
 def _pattern_group_key(pattern: Pattern) -> Tuple:
@@ -141,42 +139,23 @@ class _CoverSession:
     def num_workers(self) -> int:
         return self.cluster.num_workers
 
-    def broadcast_sigma(self, sigma: Sequence[GFD]) -> None:
-        """Ship ``Σ`` to every worker once (the only bulk transfer)."""
+    def run_with_sigma(self, sigma: Sequence[GFD], requests: List) -> List:
+        """Ship ``Σ`` and run the cover work units in one superstep.
+
+        The Σ broadcast (the only bulk transfer) rides the same superstep
+        — and, per worker, the same fused submission — as the work ops.
+        Op order per worker is preserved: Σ lands before the unit batch.
+        """
+        sigma_requests = [
+            (worker, "sigma", self.key, {"sigma": list(sigma)})
+            for worker in range(self.num_workers)
+        ]
         with self.cluster.superstep() as step:
             step.broadcast(len(sigma))
-            self.backend.run_superstep(
-                step,
-                [
-                    (worker, "sigma", self.key, {"sigma": list(sigma)})
-                    for worker in range(self.num_workers)
-                ],
+            results = self.backend.run_superstep(
+                step, sigma_requests + requests
             )
-
-    def run_with_sigma(self, sigma: Sequence[GFD], requests: List) -> List:
-        """Ship ``Σ`` and run the cover work units.
-
-        On a fusing backend the Σ broadcast rides the same superstep (and,
-        per worker, the same fused submission) as the work ops — one BSP
-        round and one pickle round trip per worker instead of two.  Op
-        order per worker is preserved (Σ lands before the unit batch), and
-        the per-element ledger accounting (``sigma_rules``) is unchanged.
-        A non-fusing backend keeps the historical two supersteps.
-        """
-        if getattr(self.backend, "fuse_ops", False):
-            sigma_requests = [
-                (worker, "sigma", self.key, {"sigma": list(sigma)})
-                for worker in range(self.num_workers)
-            ]
-            with self.cluster.superstep() as step:
-                step.broadcast(len(sigma))
-                results = self.backend.run_superstep(
-                    step, sigma_requests + requests
-                )
-            return results[len(sigma_requests):]
-        self.broadcast_sigma(sigma)
-        with self.cluster.superstep() as step:
-            return self.backend.run_superstep(step, requests)
+        return results[len(sigma_requests):]
 
     def __enter__(self) -> "_CoverSession":
         return self
@@ -226,15 +205,11 @@ def parallel_cover(
             borrowed backend keeps whatever policy it was built with.
 
     Returns ``(cover result, metered cluster)``; the cover is identical
-    across backends, worker counts and weight models.
-
-    .. deprecated::
-        Standalone calls (without a pre-started ``backend``) spin up and
-        tear down one worker-pool set per invocation; pipelines should go
-        through :meth:`repro.session.Session.cover`, which also persists
-        the cost model across covers.
+    across backends, worker counts and weight models.  A call without a
+    pre-started ``backend`` starts and stops its own worker pools;
+    :meth:`repro.session.Session.cover` shares the session's pools and
+    persists the cost model across covers.
     """
-    warn_standalone_entry_point("parallel_cover", backend)
     started = time.perf_counter()
     sigma = list(sigma)
     with _CoverSession(num_workers, cluster, backend, fault=fault) as session:
@@ -313,7 +288,6 @@ def parallel_cover_ungrouped(
     (``op_cover_probe``).  ``backend`` selects the execution backend as in
     :func:`parallel_cover`.
     """
-    warn_standalone_entry_point("parallel_cover_ungrouped", backend)
     started = time.perf_counter()
     sigma = list(sigma)
     with _CoverSession(num_workers, cluster, backend) as session:

@@ -49,7 +49,6 @@ from ..core.match_table import (
     merge_value_counts,
     variable_literals_from_counts,
 )
-from ..core.results import DiscoveryResult
 from ..core.spawning import (
     extensions_from_counts,
     merge_extension_counts,
@@ -67,7 +66,6 @@ from .backend import (
     ExecutionBackend,
     make_backend,
     next_node_key,
-    warn_standalone_entry_point,
 )
 from .balancer import (
     is_skewed,
@@ -77,7 +75,7 @@ from .balancer import (
 )
 from .cluster import SimulatedCluster
 
-__all__ = ["ParallelDiscovery", "discover_parallel"]
+__all__ = ["ParallelDiscovery"]
 
 
 class _Task:
@@ -102,8 +100,8 @@ class _NodeMining:
     Emissions are *buffered* (``emits``) instead of landing in ``_found``
     directly: a fused batch advances several patterns' lattices jointly, so
     live emission would interleave them — replaying the buffers in node
-    order afterwards restores the exact per-node insertion order the
-    unfused path produces.
+    order afterwards restores the per-node insertion order of mining the
+    nodes one at a time.
     """
 
     __slots__ = (
@@ -137,8 +135,7 @@ class ParallelDiscovery(SequentialDiscovery):
     Args:
         graph: the data graph.
         config: discovery parameters (shared with the sequential algorithm);
-            ``config.parallel_backend`` selects the execution backend and
-            ``config.shared_memory`` its buffer transport.
+            ``config.parallel_backend`` selects the execution backend.
         num_workers: the number ``n`` of workers (``None`` falls back to
             ``config.num_workers``, then 4).
         balance: enable match re-distribution on skew (Section 6.2's load
@@ -222,9 +219,7 @@ class ParallelDiscovery(SequentialDiscovery):
                 self.graph,
                 self.index,
                 self.gamma,
-                use_shared_memory=self.config.shared_memory,
                 fault=self.config.fault,
-                fuse_ops=self.config.fuse_ops,
                 tracer=self.cluster.tracer,
             )
         else:
@@ -268,24 +263,15 @@ class ParallelDiscovery(SequentialDiscovery):
         with self.cluster.tracer.span(
             f"vspawn level {level}", "level", level=level
         ):
-            if self.config.fuse_ops:
-                return self._vspawn_parallel_fused(tree, level)
             return self._vspawn_parallel(tree, level)
 
-    def _mine_node(self, node: TreeNode) -> None:
-        self._mine_nodes_batch([node])
-
     def _mine_nodes(self, nodes) -> None:
-        """``HSpawn`` one level: jointly when fused, node-by-node otherwise."""
+        """``HSpawn`` one level: all verified patterns jointly."""
         nodes = list(nodes)
         with self.cluster.tracer.span(
             f"hspawn {len(nodes)} nodes", "level", nodes=len(nodes)
         ):
-            if self.config.fuse_ops:
-                self._mine_nodes_batch(nodes)
-            else:
-                for node in nodes:
-                    self._mine_node(node)
+            self._mine_nodes_batch(nodes)
 
     # ------------------------------------------------------------------
     # seeding and vertical spawning
@@ -352,7 +338,7 @@ class ParallelDiscovery(SequentialDiscovery):
         truncated: bool = False,
         adopt: Optional[Tuple[int, int]] = None,
     ) -> None:
-        """Install one pattern's shards in its own superstep (unfused path)."""
+        """Install one pattern's shards in its own superstep (seeding)."""
         self._install_shards_many([(node, shards, truncated, adopt)])
 
     def _install_shards_many(
@@ -361,9 +347,9 @@ class ParallelDiscovery(SequentialDiscovery):
     ) -> None:
         """Install per-worker match tables + column statistics in one superstep.
 
-        ``batch`` holds ``(node, shards, truncated, adopt)`` entries — the
-        fused ``VSpawn`` installs a whole level's children in one round,
-        the unfused path one child at a time.  The column statistics feed
+        ``batch`` holds ``(node, shards, truncated, adopt)`` entries —
+        ``VSpawn`` installs a whole level's children in one round, seeding
+        one single-node pattern at a time.  The column statistics feed
         the master's alphabet generation, saving a dedicated round per
         pattern.  ``shards`` carries the per-worker matches; on a remote
         backend ``adopt`` instead names the join slot the matches were
@@ -437,23 +423,6 @@ class ParallelDiscovery(SequentialDiscovery):
         self._keys.pop(id(parent), None)
         self._shard_rows.pop(parent_key, None)
         self._column_stats.pop(parent_key, None)
-
-    def _spawn_extensions(self, parent: TreeNode) -> List[Extension]:
-        """Master-side extension generation from merged worker tallies.
-
-        Workers tally their shard and collapse pivot sets into counts;
-        pivot-disjoint sharding makes the master's aggregation a plain sum,
-        so only small count dictionaries are shipped.
-        """
-        key = self._keys[id(parent)]
-        can_add = parent.pattern.num_nodes < self.config.k
-        requests = [
-            (worker, "tally", key, {"can_add": can_add})
-            for worker in range(self.num_workers)
-        ]
-        with self.cluster.superstep() as step:
-            parts = self._backend.run_superstep(step, requests)
-        return self._extensions_from_tallies(parent, parts)
 
     def _extensions_from_tallies(
         self, parent: TreeNode, parts: List
@@ -582,177 +551,18 @@ class ParallelDiscovery(SequentialDiscovery):
             self._backend.release_stage(segment)
 
     def _vspawn_parallel(self, tree: GenerationTree, level: int) -> List[TreeNode]:
-        """``VSpawn(level)``: distributed tallying + batched incremental joins."""
-        created_nodes: List[TreeNode] = []
-        parents = list(tree.level(level - 1))
-        edge_label_counts = self.graph_stats.edge_label_counts
-        total_edges = self.graph.num_edges
-        n = self.num_workers
-        cap = self.config.max_matches_per_pattern
-        for parent in parents:
-            parent_key = self._keys.get(id(parent))
-            if parent_key is None:
-                continue  # never installed (e.g. truncated leaf)
-            if (
-                self.config.prune and parent.support < self.config.sigma
-            ) or parent.support == 0:
-                # a leaf (infrequent or zero-support): its HSpawn already
-                # ran last level, so its worker-side shards are dead weight
-                self._drop_parent(parent, parent_key)
-                continue
-            extensions = self._spawn_extensions(parent)
-            # master-side dedup first, so workers only join novel patterns
-            novel: List[Tuple[TreeNode, Extension]] = []
-            with self.cluster.master():
-                for extension in extensions:
-                    pattern = apply_extension(parent.pattern, extension)
-                    if pattern.num_nodes > self.config.k:
-                        continue
-                    node, created = tree.add(pattern, level, parent)
-                    if not created:
-                        continue
-                    self.stats.patterns_spawned += 1
-                    novel.append((node, extension))
-                    if (
-                        self.config.max_patterns_per_level is not None
-                        and len(created_nodes) + len(novel)
-                        >= self.config.max_patterns_per_level
-                    ):
-                        break
-            if novel:
-                # one superstep: every worker joins its shard with ALL new
-                # extension edges of this parent (the (Q, e) work units).
-                # Remote workers park the joined rows locally (the upcoming
-                # install adopts them in place) and ship scalars only.
-                remote = self._backend.remote
-                requests = [
-                    (
-                        worker,
-                        "join",
-                        parent_key,
-                        {
-                            "extensions": [
-                                (extension, node.pattern.pivot)
-                                for node, extension in novel
-                            ],
-                            "cap": cap,
-                            "park": remote,
-                        },
-                    )
-                    for worker in range(n)
-                ]
-                with self.cluster.superstep() as step:
-                    for worker in range(n):
-                        for _, extension in novel:
-                            label = extension.edge_label
-                            label_edges = (
-                                total_edges
-                                if label == WILDCARD
-                                else edge_label_counts.get(label, 0)
-                            )
-                            step.ship(worker, label_edges - label_edges // n)
-                    joined = self._backend.run_superstep(step, requests)
-                for position, (node, extension) in enumerate(novel):
-                    per_worker = [joined[worker][position] for worker in range(n)]
-                    new_shards = [part[0] for part in per_worker]
-                    sizes = [part[2] for part in per_worker]
-                    truncated = cap is not None and (
-                        any(part[3] for part in per_worker)
-                        or sum(sizes) >= cap
-                    )
-                    with self.cluster.master():
-                        # pivot-disjoint shards: global support is a plain sum
-                        node.support = sum(part[1] for part in per_worker)
-                        self.cluster.ship_to_master(n)
-                    adopt: Optional[Tuple[int, int]] = (
-                        (parent_key, position) if remote else None
-                    )
-                    if not truncated and self.balance and is_skewed(sizes):
-                        # matches move in whole pivot groups, preserving the
-                        # pivot-disjointness that makes supports summable
-                        staged = (
-                            remote
-                            and self.config.direct_shipping
-                            and self._backend.supports_staging
-                        )
-                        if staged:
-                            # worker-to-worker: groups move through a shared
-                            # staging segment, the master sees only the
-                            # (pivot, count) manifests; rows stay parked for
-                            # the install to adopt
-                            self._rebalance_direct(parent_key, position, node)
-                        elif remote:
-                            # pull the parked shards in for redistribution —
-                            # the fallback case the rows must visit the master
-                            fetch = [
-                                (
-                                    worker,
-                                    "fetch_join",
-                                    parent_key,
-                                    {"position": position},
-                                )
-                                for worker in range(n)
-                            ]
-                            with self.cluster.superstep() as step:
-                                new_shards = self._backend.run_superstep(
-                                    step, fetch
-                                )
-                            adopt = None
-                        if not staged:
-                            if self.index is not None:
-                                new_shards, moved = rebalance_pivot_group_arrays(
-                                    new_shards, node.pattern.pivot
-                                )
-                            else:
-                                new_shards, moved = rebalance_pivot_groups(
-                                    new_shards, node.pattern.pivot
-                                )
-                            with self.cluster.superstep() as step:
-                                for worker, received in moved.items():
-                                    step.ship(
-                                        worker, received * node.pattern.num_nodes
-                                    )
-                    self._install_shards(
-                        node, new_shards, truncated=truncated, adopt=adopt
-                    )
-                    if node.support >= self.config.sigma:
-                        self.stats.patterns_frequent += 1
-                    if node.support == 0:
-                        self.stats.patterns_zero_support += 1
-                        if (
-                            self.config.mine_negative
-                            and parent.support >= self.config.sigma
-                        ):
-                            negative = GFD(node.pattern, frozenset(), FALSE)
-                            self._emit(negative, parent.support)
-                    created_nodes.append(node)
-            # the parent's children are joined: free its worker-side state
-            self._drop_parent(parent, parent_key)
-            if (
-                self.config.max_patterns_per_level is not None
-                and len(created_nodes) >= self.config.max_patterns_per_level
-            ):
-                return created_nodes
-        return created_nodes
+        """``VSpawn(level)``: distributed tallying + batched incremental joins.
 
-    def _vspawn_parallel_fused(
-        self, tree: GenerationTree, level: int
-    ) -> List[TreeNode]:
-        """``VSpawn(level)`` with per-level fused supersteps.
-
-        Three rounds for the whole level instead of roughly three per
-        parent/child: every surviving parent tallies in one superstep,
-        every novel child joins in one superstep, every non-truncated
-        child installs in one superstep (rare skew rebalances keep their
-        own rounds in between).  Master-side dedup, support aggregation
-        and the zero-support negative emissions run in exactly the
-        per-parent, per-child order of :meth:`_vspawn_parallel`, so the
-        discovered set and the transfer ledger are byte-identical — the
-        differential suite pins fused ≡ unfused.  One deliberate
-        read-only difference: parents past a binding
-        ``max_patterns_per_level`` cap are still tallied (the joint round
-        was already submitted) but never extended, joined or dropped —
-        tallies ship no ledger-visible rows.
+        Three supersteps for the whole level: every surviving parent
+        tallies in one, every novel child joins in one, every
+        non-truncated child installs in one (rare skew rebalances keep
+        their own rounds in between).  Master-side dedup, support
+        aggregation and the zero-support negative emissions run in
+        per-parent, per-child order — the order ``SeqDis`` spawns in — so
+        the discovered set equals the sequential engine's.  Parents past a
+        binding ``max_patterns_per_level`` cap are still tallied (the
+        joint round was already submitted) but never extended, joined or
+        dropped — tallies ship no ledger-visible rows.
         """
         created_nodes: List[TreeNode] = []
         parents = list(tree.level(level - 1))
@@ -981,10 +791,7 @@ class ParallelDiscovery(SequentialDiscovery):
         lattices then advance *jointly* — one ``eval`` superstep per
         lattice depth carries every still-active pattern's candidate batch
         (the ``ΣC_{ij}`` rounds of Figure 3, now summed over patterns too)
-        — and one ``probe`` superstep resolves all NHSpawn bases.  With a
-        single-node batch this is superstep-for-superstep the historical
-        per-pattern path, which is exactly how ``config.fuse_ops=False``
-        runs it.
+        — and one ``probe`` superstep resolves all NHSpawn bases.
 
         Emissions are buffered per node and replayed in node order at the
         end, so ``_found``'s insertion order — which downstream cover
@@ -1247,39 +1054,3 @@ class ParallelDiscovery(SequentialDiscovery):
                     )
                     emitted_per_base[base_index] = emitted + 1
 
-
-def discover_parallel(
-    graph: Graph,
-    config: Optional[DiscoveryConfig] = None,
-    num_workers: Optional[int] = None,
-    balance: bool = True,
-    stats=None,
-    index=None,
-    backend: Union[None, str, ExecutionBackend] = None,
-) -> Tuple[DiscoveryResult, SimulatedCluster]:
-    """Run ``ParDis`` and return (result, metered cluster).
-
-    ``stats``/``index`` accept precomputed graph snapshots so worker sweeps
-    (Figures 5a-c) don't rescan the same graph once per worker count;
-    ``backend`` overrides ``config.parallel_backend`` (a name) or supplies a
-    pre-started backend to reuse across runs.
-
-    .. deprecated::
-        Standalone calls (without a pre-started ``backend``) spin up and
-        tear down one worker-pool set per invocation.  Pipelines should
-        hold a :class:`repro.session.Session`, whose single backend serves
-        discover → cover → enforce; this wrapper remains as a shim for the
-        one-shot case and is differential-tested against the Session path.
-    """
-    warn_standalone_entry_point("discover_parallel", backend)
-    runner = ParallelDiscovery(
-        graph,
-        config or DiscoveryConfig(),
-        num_workers,
-        balance=balance,
-        stats=stats,
-        index=index,
-        backend=backend,
-    )
-    result = runner.run()
-    return result, runner.cluster

@@ -39,10 +39,11 @@ Streaming discovery with early-stop budgets::
         for gfd in session.discover_iter(max_rules=25):
             print(gfd)               # rules arrive as lattice levels finish
 
-The legacy entry points (``discover``, ``discover_parallel``,
-``parallel_cover``, a directly-constructed ``EnforcementEngine``) remain as
-thin shims over the same engines and are differential-tested against the
-Session path (``tests/test_api.py``); new code should hold a session.
+The engines stay directly usable (``discover``, ``ParallelDiscovery``,
+``parallel_cover``, a directly-constructed ``EnforcementEngine``); each
+such call starts and stops its own backend, and the Session path is
+differential-tested against them (``tests/test_api.py``).  Pipelines should
+hold a session.
 """
 
 from __future__ import annotations
@@ -216,13 +217,13 @@ class Session:
             backend instead of rebuilding it.
         config: the :class:`~repro.core.config.DiscoveryConfig` driving
             discovery *and* the session's execution substrate
-            (``parallel_backend``, ``num_workers``, ``shared_memory``,
-            ``use_index``); ``None`` uses the defaults.
+            (``parallel_backend``, ``num_workers``, ``use_index``);
+            ``None`` uses the defaults.
         enforcement: enforcement policies (delta thresholds, sample caps,
             the per-rule violation cap, persistent tables).  The execution
-            knobs (``backend``, ``num_workers``, ``shared_memory``,
-            ``use_index``) are overridden by the session's — one backend
-            serves every phase.  ``None`` uses the defaults.
+            knobs (``backend``, ``num_workers``, ``use_index``) are
+            overridden by the session's — one backend serves every phase.
+            ``None`` uses the defaults.
         num_workers: worker count ``n`` (overrides ``config.num_workers``;
             default: ``config.num_workers``, else 1 for the serial backend
             and 4 for multiprocess).
@@ -327,7 +328,6 @@ class Session:
                 else self._backend_name
             ),
             num_workers=num_workers,
-            shared_memory=self.config.shared_memory,
             use_index=self.config.use_index,
             fault=self.config.fault,
         )
@@ -479,9 +479,7 @@ class Session:
                 self.graph,
                 self._index,
                 self._gamma,
-                use_shared_memory=self.config.shared_memory,
                 fault=self.config.fault,
-                fuse_ops=self.config.fuse_ops,
                 tracer=self.tracer,
             )
             self._backends[name] = backend
@@ -617,8 +615,8 @@ class Session:
     def discover(self) -> DiscoveryResult:
         """Run ``ParDis`` on the session backend; Σ becomes the result.
 
-        Results are identical to the legacy entry points (differential
-        tests pin this); only the resource lifecycle differs — the
+        Results are identical to a direct ``ParallelDiscovery`` run
+        (differential tests pin this); only the resource lifecycle differs — the
         session's pools and index snapshot are reused, not rebuilt.
         """
         self._check_open()

@@ -1,31 +1,30 @@
-"""Public-API surface snapshot + legacy-shim differential identity.
+"""Public-API surface snapshot + direct-engine differential identity.
 
 Two guarantees:
 
 1. the top-level public surface is *pinned* — adding or removing a name
    from ``repro.__all__`` (or the session/parallel sub-surfaces) is a
    deliberate, test-updating act, never an accident;
-2. the legacy entry points (``discover``, ``discover_parallel``,
+2. the engines called directly (``discover``, ``ParallelDiscovery``,
    ``parallel_cover``, a directly-constructed ``EnforcementEngine``, the
-   detector) are now thin shims over the same engines the
-   :class:`repro.session.Session` drives — and produce *byte-identical*
-   results, asserted here rule by rule.
+   detector) are the same engines the :class:`repro.session.Session`
+   drives — and produce *byte-identical* results, asserted here rule by
+   rule.
 """
 
 from __future__ import annotations
 
 import warnings
 
-import pytest
 
 import repro
 from repro import (
     DiscoveryConfig,
     EnforcementConfig,
     EnforcementEngine,
+    ParallelDiscovery,
     Session,
     discover,
-    discover_parallel,
     parallel_cover,
 )
 from repro.core import gfd_identity
@@ -71,7 +70,6 @@ EXPECTED_TOP_LEVEL = {
     "ParallelDiscovery",
     "SimulatedCluster",
     "ChaseCostModel",
-    "discover_parallel",
     "parallel_cover",
     # enforcement
     "EnforcementConfig",
@@ -162,7 +160,7 @@ def _report_key(report):
 
 
 class TestShimDifferentialIdentity:
-    """Old entry points ≡ Session results, byte for byte."""
+    """Direct engine calls ≡ Session results, byte for byte."""
 
     def test_discover_matches_session(self, film_graph, film_config):
         legacy = discover(film_graph, film_config)
@@ -175,12 +173,10 @@ class TestShimDifferentialIdentity:
         for gfd in result.gfds:
             assert result.supports[gfd] == legacy_supports[gfd_identity(gfd)]
 
-    def test_discover_parallel_matches_session(self, film_graph, film_config):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy, _ = discover_parallel(
-                film_graph, film_config, num_workers=3, backend="serial"
-            )
+    def test_parallel_discovery_matches_session(self, film_graph, film_config):
+        legacy = ParallelDiscovery(
+            film_graph, film_config, num_workers=3, backend="serial"
+        ).run()
         with Session(
             film_graph, film_config, num_workers=3, backend="serial"
         ) as session:
@@ -189,9 +185,7 @@ class TestShimDifferentialIdentity:
 
     def test_parallel_cover_matches_session(self, film_graph, film_config):
         sigma = discover(film_graph, film_config).gfds
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy, _ = parallel_cover(sigma, num_workers=2)
+        legacy, _ = parallel_cover(sigma, num_workers=2)
         with Session(film_graph, film_config, num_workers=2) as session:
             result = session.cover(sigma)
         assert [str(g) for g in result.cover] == [str(g) for g in legacy.cover]
@@ -234,14 +228,12 @@ class TestShimDifferentialIdentity:
 
 
 class TestDeprecationShims:
-    def test_standalone_discover_parallel_warns(self, film_graph, film_config):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            discover_parallel(film_graph, film_config, num_workers=2)
+    """No entry point warns: the per-call backend shims are gone.
 
-    def test_standalone_parallel_cover_warns(self, film_graph, film_config):
-        sigma = discover(film_graph, film_config).gfds
-        with pytest.warns(DeprecationWarning, match="Session"):
-            parallel_cover(sigma, num_workers=2)
+    ``pytest.ini`` turns every ``DeprecationWarning`` into an error, so
+    each standalone ``parallel_cover``/``ParallelDiscovery`` call in the
+    suite checks this too.
+    """
 
     def test_prestarted_backend_does_not_warn(self, film_graph, film_config):
         sigma = discover(film_graph, film_config).gfds

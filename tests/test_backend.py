@@ -1,9 +1,9 @@
-"""Execution-backend tests: shared-memory lifecycle, fallbacks, the cap.
+"""Execution-backend tests: shared-memory lifecycle, backend reuse, the cap.
 
 Covers the multiprocess plumbing the differential harness treats as a black
 box: buffer export/attach round trips, stale-index export refusal, segment
 cleanup after shutdown (name probing — an unlinked segment must not be
-re-attachable), the pickle fallback transport, and the per-shard
+re-attachable), backend selection and reuse, and the per-shard
 ``max_matches_per_pattern`` enforcement that keeps both engines in
 agreement when the cap binds.
 """
@@ -23,13 +23,7 @@ from repro.parallel import (
     ParallelDiscovery,
     SerialBackend,
     SharedIndexBuffers,
-    discover_parallel,
     make_backend,
-    shared_memory_available,
-)
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="platform lacks shared memory"
 )
 
 
@@ -148,18 +142,6 @@ class TestBackendLifecycle:
         with pytest.raises(FileNotFoundError):
             _probe_segment(tracked["name"])
 
-    def test_pickle_fallback_path(self):
-        graph = small_graph()
-        config = small_config()
-        reference = {gfd_identity(g) for g in discover(graph, config).gfds}
-        fallback_config = replace(
-            config, parallel_backend="multiprocess", shared_memory=False
-        )
-        engine = ParallelDiscovery(graph, fallback_config, num_workers=2)
-        assert engine.backend_name == "multiprocess"
-        result = engine.run()
-        assert {gfd_identity(g) for g in result.gfds} == reference
-
     def test_external_backend_reused_across_runs(self):
         graph = small_graph()
         config = small_config()
@@ -170,9 +152,9 @@ class TestBackendLifecycle:
         )
         try:
             for _ in range(2):
-                result, _ = discover_parallel(
+                result = ParallelDiscovery(
                     graph, config, num_workers=2, backend=backend
-                )
+                ).run()
                 assert {gfd_identity(g) for g in result.gfds} == reference
         finally:
             backend.shutdown()
@@ -214,12 +196,10 @@ class TestMatchCapAgreement:
 
     def _engines(self, graph, config):
         runs = {"seq": discover(graph, config)}
-        runs["serial"], _ = discover_parallel(
-            graph, config, num_workers=3, backend="serial"
-        )
-        runs["multiprocess"], _ = discover_parallel(
-            graph, config, num_workers=3, backend="multiprocess"
-        )
+        for backend in ("serial", "multiprocess"):
+            runs[backend] = ParallelDiscovery(
+                graph, config, num_workers=3, backend=backend
+            ).run()
         return runs
 
     def test_engines_agree_when_cap_binds(self):

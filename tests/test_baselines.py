@@ -136,12 +136,20 @@ class TestGCFD:
         gcfds = discover_gcfd(yago_small, yago_config)
         assert len(gcfds.gfds) <= len(gfds.gfds)
 
-    def test_parallel_gcfd_parity(self, film_graph, film_config):
-        sequential = discover_gcfd(film_graph, film_config)
-        parallel, _ = discover_gcfd_parallel(film_graph, film_config, num_workers=3)
-        assert {gfd_identity(g) for g in sequential.gfds} == {
-            gfd_identity(g) for g in parallel.gfds
-        }
+    def test_parallel_gcfd_parity(
+        self, film_graph, film_config, yago_small, yago_config
+    ):
+        # the k=3 KB is where ParCGFD's spawner would otherwise grow
+        # star-shaped patterns
+        for graph, config in (
+            (film_graph, film_config), (yago_small, yago_config)
+        ):
+            sequential = discover_gcfd(graph, config)
+            parallel, _ = discover_gcfd_parallel(graph, config, num_workers=3)
+            assert all(is_path_pattern(rule.pattern) for rule in parallel.gfds)
+            assert {gfd_identity(g) for g in sequential.gfds} == {
+                gfd_identity(g) for g in parallel.gfds
+            }
 
 
 class TestParArab:

@@ -55,7 +55,7 @@ class TestCLI:
         saved = load_rules(str(out_file))
         assert saved
 
-    def test_discover_parallel(self, graph_file, capsys):
+    def test_discover_with_workers(self, graph_file, capsys):
         assert main(
             ["discover", graph_file, "--k", "2", "--sigma", "30", "--workers", "3"]
         ) == 0

@@ -23,19 +23,9 @@ import pytest
 
 from repro import DiscoveryConfig, FaultConfig, Session, discover
 from repro.core import gfd_identity, sequential_cover
-from repro.parallel import (
-    FaultPlan,
-    parallel_cover,
-    shared_memory_available,
-)
+from repro.parallel import FaultPlan, parallel_cover
 from repro.parallel import janitor
 from repro.parallel.backend import make_backend, next_node_key
-
-needs_mp = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable",
-)
-
 
 @pytest.fixture(autouse=True)
 def isolated_fault_env(monkeypatch):
@@ -141,7 +131,6 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 # the segment janitor
 # ----------------------------------------------------------------------
-@needs_mp
 class TestJanitor:
     def test_create_registers_and_unregister_releases(self):
         segment = janitor.create_segment(64)
@@ -320,7 +309,6 @@ class TestJanitor:
 # ----------------------------------------------------------------------
 # supervision plumbing (white-box regressions)
 # ----------------------------------------------------------------------
-@needs_mp
 class TestSupervisionPlumbing:
     def test_shutdown_is_idempotent(self):
         for fault in (None, FaultConfig()):
@@ -357,7 +345,6 @@ class TestSupervisionPlumbing:
 # ----------------------------------------------------------------------
 # chaos differential: kill one worker in every phase
 # ----------------------------------------------------------------------
-@needs_mp
 class TestChaosDifferential:
     """Seeded worker kills; results must equal the fault-free serial run."""
 
@@ -381,36 +368,6 @@ class TestChaosDifferential:
             metrics = session.metrics()
             assert metrics.lifecycle.respawns >= 1
             assert metrics.recovery_seconds > 0.0
-        assert _fingerprint(result) == reference
-
-    def test_kill_mid_discovery_unfused(self, film_graph, film_config):
-        """The historical one-op-per-request protocol stays supervised:
-        a worker kill under ``fuse_ops=False`` recovers to byte-identical
-        results too (the fused default is covered by the tests above)."""
-        reference = _fingerprint(discover(film_graph, film_config))
-        fault = FaultConfig(
-            fault_plan=_plan(kill_on={"op": "eval", "nth": 1}, workers=[0])
-        )
-        config = replace(film_config, fault=fault, fuse_ops=False)
-        with Session(
-            film_graph, config, backend="multiprocess", num_workers=2
-        ) as session:
-            result = session.discover()
-            assert session.metrics().lifecycle.respawns >= 1
-        assert _fingerprint(result) == reference
-
-    def test_kill_survives_pickle_fallback(self, film_graph, film_config):
-        """The no-shared-memory path runs the same supervision code."""
-        reference = _fingerprint(discover(film_graph, film_config))
-        fault = FaultConfig(
-            fault_plan=_plan(kill_on={"op": "install", "nth": 1}, workers=[0])
-        )
-        config = replace(film_config, fault=fault, shared_memory=False)
-        with Session(
-            film_graph, config, backend="multiprocess", num_workers=2
-        ) as session:
-            result = session.discover()
-            assert session.metrics().lifecycle.respawns >= 1
         assert _fingerprint(result) == reference
 
     def test_kill_mid_parcover_batch(self, film_graph, film_config):
@@ -531,6 +488,26 @@ class TestChaosDifferential:
             "degraded_workers": 0,
         }
         assert data["timings"]["recovery_seconds"] == 0.0
+
+    def test_no_deadline_supervision_equals_seqdis(
+        self, film_graph, film_config
+    ):
+        """``op_timeout_s=None`` means "no deadline", not a crash: fused
+        batches wait without a timeout, and a killed worker is still
+        detected (``BrokenProcessPool``) and recovered."""
+        from repro import ParallelDiscovery
+
+        reference = _fingerprint(discover(film_graph, film_config))
+        plans = (None, _plan(kill_on={"op": "eval", "nth": 1}, workers=[0]))
+        for plan in plans:
+            fault = FaultConfig(op_timeout_s=None, fault_plan=plan)
+            engine = ParallelDiscovery(
+                film_graph,
+                replace(film_config, fault=fault),
+                num_workers=2,
+                backend="multiprocess",
+            )
+            assert _fingerprint(engine.run()) == reference
 
     def test_transfer_ledger_identical_under_faults(
         self, film_graph, film_config

@@ -358,19 +358,3 @@ class TestDistinctPivotSketch:
     def test_one_shot_helper(self):
         values = np.arange(1000, dtype=np.int64)
         assert sketch_distinct_upper_bound(values) >= 1000
-
-    def test_sketch_prefilter_discovery_matches_exact(self):
-        graph = synthetic_graph(
-            200, 700, num_labels=5, num_values=8, regularity=0.85, seed=9
-        )
-        kwargs = dict(
-            k=2, sigma=8, max_lhs_size=1,
-            active_attributes=list(SYNTHETIC_ATTRIBUTES[:2]),
-        )
-        exact = discover(graph, DiscoveryConfig(**kwargs))
-        sketched = discover(
-            graph, DiscoveryConfig(sketch_support_prefilter=True, **kwargs)
-        )
-        assert {gfd_identity(g) for g in exact.gfds} == {
-            gfd_identity(g) for g in sketched.gfds
-        }

@@ -32,12 +32,6 @@ from repro import (
 )
 from repro.core import gfd_identity
 from repro.obs import NULL_TRACER, chrome_trace_document
-from repro.parallel import shared_memory_available
-
-needs_mp = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable",
-)
 
 
 def _fingerprint(result):
@@ -228,7 +222,6 @@ class TestSessionTracing:
         assert tracer.spans_opened == tracer.spans_closed
         assert any(s.name == "discover_iter" for s in tracer.spans)
 
-    @needs_mp
     def test_traced_equals_untraced_multiprocess(
         self, film_graph, film_config
     ):
@@ -254,7 +247,6 @@ class TestSessionTracing:
         assert any(s.kind == "op" and s.worker is not None
                    for s in tracer.spans)
 
-    @needs_mp
     def test_all_spans_close_under_chaos(
         self, film_graph, film_config, monkeypatch
     ):

@@ -12,7 +12,6 @@ from repro.parallel import (
     ParallelDiscovery,
     SimulatedCluster,
     assign_units_lpt,
-    discover_parallel,
     is_skewed,
     parallel_cover,
     parallel_cover_ungrouped,
@@ -138,7 +137,9 @@ class TestBalancer:
 class TestParDisParity:
     def test_results_equal_sequential(self, film_graph, film_config):
         sequential = discover(film_graph, film_config)
-        parallel, cluster = discover_parallel(film_graph, film_config, num_workers=4)
+        engine = ParallelDiscovery(film_graph, film_config, num_workers=4)
+        parallel = engine.run()
+        cluster = engine.cluster
         assert {gfd_identity(g) for g in sequential.gfds} == {
             gfd_identity(g) for g in parallel.gfds
         }
@@ -151,16 +152,16 @@ class TestParDisParity:
 
     def test_parity_on_kb(self, yago_small, yago_config):
         sequential = discover(yago_small, yago_config)
-        parallel, _ = discover_parallel(yago_small, yago_config, num_workers=3)
+        parallel = ParallelDiscovery(yago_small, yago_config, num_workers=3).run()
         assert {gfd_identity(g) for g in sequential.gfds} == {
             gfd_identity(g) for g in parallel.gfds
         }
 
     def test_parity_without_balancing(self, film_graph, film_config):
         sequential = discover(film_graph, film_config)
-        parallel, _ = discover_parallel(
+        parallel = ParallelDiscovery(
             film_graph, film_config, num_workers=4, balance=False
-        )
+        ).run()
         assert {gfd_identity(g) for g in sequential.gfds} == {
             gfd_identity(g) for g in parallel.gfds
         }
@@ -168,21 +169,23 @@ class TestParDisParity:
     def test_parity_across_worker_counts(self, film_graph, film_config):
         baseline = {
             gfd_identity(g)
-            for g in discover_parallel(film_graph, film_config, num_workers=2)[
-                0
-            ].gfds
+            for g in ParallelDiscovery(
+                film_graph, film_config, num_workers=2
+            ).run().gfds
         }
         for workers in (3, 5):
             other = {
                 gfd_identity(g)
-                for g in discover_parallel(
+                for g in ParallelDiscovery(
                     film_graph, film_config, num_workers=workers
-                )[0].gfds
+                ).run().gfds
             }
             assert other == baseline
 
     def test_cluster_accounting_positive(self, film_graph, film_config):
-        _, cluster = discover_parallel(film_graph, film_config, num_workers=4)
+        engine = ParallelDiscovery(film_graph, film_config, num_workers=4)
+        engine.run()
+        cluster = engine.cluster
         assert cluster.metrics.elapsed_parallel > 0
         assert cluster.metrics.total_work_seconds > 0
         assert all(w.units_executed > 0 for w in cluster.workers)

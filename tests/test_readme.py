@@ -48,6 +48,5 @@ def test_readme_mentions_the_cli_surface():
         "repro-gfd enforce",
         "repro-gfd cover",
         "--backend",
-        "--no-shared-memory",
     ):
         assert needle in text, f"README lost its {needle!r} documentation"

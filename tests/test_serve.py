@@ -38,7 +38,7 @@ from repro.core import FaultConfig
 from repro.enforce import RuleSketchMonitor
 from repro.graph import load_index, save_index
 from repro.graph.index import GraphIndex
-from repro.parallel import ChaseCostModel, shared_memory_available
+from repro.parallel import ChaseCostModel
 from repro.parallel.janitor import live_mappings, live_segments
 from repro.serve import (
     DeadlineExceeded,
@@ -56,9 +56,7 @@ from repro.serve import (
     serve_http,
 )
 
-BACKENDS = ["serial"]
-if shared_memory_available():
-    BACKENDS.append("multiprocess")
+BACKENDS = ["serial", "multiprocess"]
 
 #: The film_graph invariants (it is clean w.r.t. all three).
 PHI_FILM = (
@@ -614,9 +612,6 @@ class TestConcurrentReplayIdentity:
         assert set(live_segments()) <= segments_before
         assert {id(m) for m in live_mappings()} <= mappings_before
 
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="needs multiprocessing"
-    )
     def test_replay_identity_under_worker_kills(self, film_graph):
         """Chaos variant: a worker dies mid-serving; supervision respawns
         it and every served answer still matches the serial replay."""

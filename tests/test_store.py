@@ -38,7 +38,7 @@ from repro.graph import (
 )
 from repro.graph.index import GraphIndex
 from repro.graph.store import _PREAMBLE, SCHEMA_VERSION
-from repro.parallel import janitor, shared_memory_available
+from repro.parallel import janitor
 from repro.pattern import Pattern
 from repro.pattern.matcher import count_matches
 
@@ -332,9 +332,6 @@ class TestFreshProcessAttach:
         assert out.returncode == 0, out.stderr
         assert int(out.stdout.strip()) == expected
 
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="platform lacks shared memory"
-    )
     def test_multiprocess_workers_take_mmap_route(self, tmp_path):
         graph = store_graph()
         path = save_index(graph.index(), tmp_path / "g.rgix")
@@ -354,9 +351,7 @@ class TestFreshProcessAttach:
 class TestDifferentialIdentity:
     """Loaded-index pipelines ≡ built-index pipelines, per backend."""
 
-    BACKENDS = ["serial"] + (
-        ["multiprocess"] if shared_memory_available() else []
-    )
+    BACKENDS = ["serial", "multiprocess"]
 
     @staticmethod
     def _signature(session: Session):
@@ -392,9 +387,6 @@ class TestDifferentialIdentity:
         assert built == loaded
 
 
-@pytest.mark.skipif(
-    not shared_memory_available(), reason="platform lacks shared memory"
-)
 class TestJanitorMmapRegression:
     """sweep/shutdown must never unlink or double-close a live mmap attach."""
 
